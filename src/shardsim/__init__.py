@@ -46,7 +46,7 @@ from .simulation import (
     first_divergence,
     run_unsharded_oracle,
 )
-from .sync import RemoteSupport, eager_collect_support, lazy_collect_support
+from .sync import eager_collect_support, lazy_collect_support
 from .workload import WorkloadParams, genesis_block, round_transactions
 
 __version__ = "0.1.0"

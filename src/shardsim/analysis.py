@@ -278,18 +278,3 @@ def mc_iterated_lazy(
     result.attacks_completed = state.completed
     result.peak_capacity_used = state.peak_usage
     return result
-
-
-def binomial_one_sided_pvalue(higher: int, lower: int) -> float:
-    """P[Bin(higher+lower, 1/2) >= higher]: is ``higher`` significantly larger?
-
-    Exact conditional test for comparing two matched failure counts; with
-    no divergence between the processes the split is symmetric.
-    """
-    total = higher + lower
-    if total == 0:
-        return 1.0
-    acc = 0.0
-    for k in range(higher, total + 1):
-        acc += math.comb(total, k)
-    return acc / 2.0**total

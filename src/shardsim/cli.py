@@ -2,8 +2,10 @@
 
 Subcommands: simulate, oracle-compare, bins-mc, bound-table,
 golden-vectors. Configuration comes from an INI file with one flat
-key=value section per concern; every effective value is echoed back to
-the output directory so a run is reproducible from its artifacts alone.
+key=value section per concern. Each subcommand's config is a dataclass,
+and one loader and one writer, driven by its fields and their types, read
+the file and echo every effective value back to the output directory as
+``effective_config.ini``; passing that file to ``--config`` replays the run.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 monitor breach,
 4 comparison mismatch.
@@ -14,7 +16,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import sys
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +30,8 @@ from .analysis import (
 )
 from .membership import golden_vector_text
 from .simulation import (
+    DEFAULT_GENESIS_SEED,
+    NEGATIVE_MODES,
     ConfigError,
     RunConfig,
     Simulation,
@@ -37,46 +44,71 @@ EXIT_CONFIG = 2
 EXIT_BREACH = 3
 EXIT_MISMATCH = 4
 
-_RUN_SECTIONS = {
-    "run": {
-        "n",
-        "m",
-        "rounds",
-        "seed",
-        "sync",
-        "t_lease",
-        "t_takeover",
-        "byzantine_fraction",
-        "adversary",
-        "h_p",
-    },
-    "workload": {"tx_rate", "max_amount", "initial_balance"},
-    "membership": {"genesis_seed"},
-    "monitor": {"self_containment_samples"},
+
+@dataclass
+class BinsConfig:
+    mode: str = "static"
+    n: int = 6000
+    m: int = 4
+    red_fraction: float = 0.25
+    trials: int = 10_000
+    t_lease: int = 10
+    rounds: int = 10_000
+    strategy: str = "static"
+    t_takeover: Optional[int] = None
+    attack_size: Optional[int] = None
+    seed: int = 0
+
+
+# Fields that only one bins mode reads; the other mode neither uses nor echoes them.
+_STATIC_ONLY = ("trials",)
+_ITERATED_ONLY = ("t_lease", "rounds", "strategy", "t_takeover", "attack_size")
+
+
+@dataclass
+class TableConfig:
+    rows: str = "150000000:10000,7000000:700,6000:4"  # n:m pairs
+
+
+@dataclass
+class VectorsConfig:
+    genesis_seed: bytes = DEFAULT_GENESIS_SEED
+    m: int = 4
+    t_lease: int = 5
+    num_keys: int = 16
+    rounds: Optional[int] = None  # unset means 3 * t_lease
+
+    def __post_init__(self) -> None:
+        if self.rounds is None:
+            self.rounds = 3 * self.t_lease
+
+
+def _layout(cls, section: str, placed: Optional[dict[str, str]] = None) -> dict[str, str]:
+    """Field name -> INI section; fields not in ``placed`` go to ``section``."""
+    placed = placed or {}
+    return {f.name: placed.get(f.name, section) for f in dataclasses.fields(cls)}
+
+
+_LAYOUT = {
+    RunConfig: _layout(
+        RunConfig,
+        "run",
+        {
+            "tx_rate": "workload",
+            "max_amount": "workload",
+            "initial_balance": "workload",
+            "genesis_seed": "membership",
+            "self_containment_samples": "monitor",
+        },
+    ),
+    BinsConfig: _layout(BinsConfig, "bins"),
+    TableConfig: _layout(TableConfig, "table"),
+    VectorsConfig: _layout(VectorsConfig, "vectors"),
 }
-
-_BINS_KEYS = {
-    "mode",
-    "n",
-    "m",
-    "red_fraction",
-    "seed",
-    "trials",
-    "t_lease",
-    "rounds",
-    "strategy",
-    "t_takeover",
-    "attack_size",
-}
-
-_TABLE_KEYS = {"rows"}
-_VECTOR_KEYS = {"genesis_seed", "m", "t_lease", "num_keys", "rounds"}
-
-_DEFAULT_TABLE_ROWS = "150000000:10000,7000000:700,6000:4"
 
 
 def _read_ini(path: Optional[str]) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
         target = Path(path)
         if not target.is_file():
@@ -88,88 +120,69 @@ def _read_ini(path: Optional[str]) -> configparser.ConfigParser:
     return cp
 
 
-def _check_keys(cp: configparser.ConfigParser, allowed: dict[str, set[str]]) -> None:
+def _parse(kind, raw: str):
+    if kind == Optional[int]:
+        return None if raw == "" else int(raw)
+    if kind is bytes:
+        return bytes.fromhex(raw)
+    return kind(raw)
+
+
+def _format(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bytes):
+        return value.hex()
+    return str(value)
+
+
+def _load(cls, cp: configparser.ConfigParser, **overrides):
+    """Build ``cls`` from its INI sections; overrides that are not None win."""
+    layout = _LAYOUT[cls]
+    types = typing.get_type_hints(cls)
+    values = {}
     for section in cp.sections():
-        if section not in allowed:
+        if section not in layout.values():
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in allowed[section]:
+        for key, raw in cp[section].items():
+            if layout.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            try:
+                values[key] = _parse(types[key], raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    return cls(**values)
 
 
-def _get(cp, section, key, cast, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _build_run_config(cp: configparser.ConfigParser, args) -> RunConfig:
-    _check_keys(cp, _RUN_SECTIONS)
-    cfg = RunConfig()
-    t_takeover = _get(cp, "run", "t_takeover", int, None)
-    cfg = RunConfig(
-        n=_get(cp, "run", "n", int, cfg.n),
-        m=_get(cp, "run", "m", int, cfg.m),
-        rounds=_get(cp, "run", "rounds", int, cfg.rounds),
-        seed=_get(cp, "run", "seed", int, cfg.seed),
-        sync=_get(cp, "run", "sync", str, cfg.sync),
-        t_lease=_get(cp, "run", "t_lease", int, cfg.t_lease),
-        t_takeover=t_takeover,
-        byzantine_fraction=_get(
-            cp, "run", "byzantine_fraction", float, cfg.byzantine_fraction
-        ),
-        adversary=_get(cp, "run", "adversary", str, cfg.adversary),
-        h_p=_get(cp, "run", "h_p", float, cfg.h_p),
-        tx_rate=_get(cp, "workload", "tx_rate", int, cfg.tx_rate),
-        max_amount=_get(cp, "workload", "max_amount", int, cfg.max_amount),
-        initial_balance=_get(
-            cp, "workload", "initial_balance", int, cfg.initial_balance
-        ),
-        genesis_seed=_get(cp, "membership", "genesis_seed", bytes.fromhex, cfg.genesis_seed),
-        self_containment_samples=_get(
-            cp, "monitor", "self_containment_samples", int, cfg.self_containment_samples
-        ),
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.rounds is not None:
-        cfg.rounds = args.rounds
-    if args.negative_mode is not None:
-        cfg.negative_mode = args.negative_mode
-    cfg.validate()
-    return cfg
-
-
-def _echo_run_config(cfg: RunConfig, out: Path) -> None:
-    cp = configparser.ConfigParser()
-    cp["run"] = {
-        "n": str(cfg.n),
-        "m": str(cfg.m),
-        "rounds": str(cfg.rounds),
-        "seed": str(cfg.seed),
-        "sync": cfg.sync,
-        "t_lease": str(cfg.t_lease),
-        "t_takeover": "" if cfg.t_takeover is None else str(cfg.t_takeover),
-        "byzantine_fraction": repr(cfg.byzantine_fraction),
-        "adversary": cfg.adversary,
-        "h_p": repr(cfg.h_p),
-        "negative_mode": cfg.negative_mode,
-    }
-    cp["workload"] = {
-        "tx_rate": str(cfg.tx_rate),
-        "max_amount": str(cfg.max_amount),
-        "initial_balance": str(cfg.initial_balance),
-    }
-    cp["membership"] = {"genesis_seed": cfg.genesis_seed.hex()}
-    cp["monitor"] = {
-        "self_containment_samples": str(cfg.containment_samples)
-    }
+def _dump(cfg, out: Path, omit: tuple[str, ...] = ()) -> None:
+    """Echo every field of ``cfg`` but ``omit`` to ``effective_config.ini``."""
+    layout = _LAYOUT[type(cfg)]
+    sections: dict[str, dict[str, str]] = {}
+    for f in dataclasses.fields(cfg):
+        if f.name not in omit:
+            sections.setdefault(layout[f.name], {})[f.name] = _format(getattr(cfg, f.name))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(sections)
     with open(out / "effective_config.ini", "w") as fh:
         cp.write(fh)
+
+
+def _run_config(args) -> RunConfig:
+    """The run's config; ``[run] negative_mode`` may only record the flag."""
+    cp = _read_ini(args.config)
+    in_force = args.negative_mode or "none"
+    recorded = cp.get("run", "negative_mode", fallback=in_force)
+    if recorded != in_force:
+        raise ConfigError(
+            f"[run] negative_mode = {recorded} disagrees with --negative-mode "
+            f"{in_force}; defects are injected from the command line only"
+        )
+    cfg = _load(RunConfig, cp, seed=args.seed, rounds=args.rounds, negative_mode=in_force)
+    cfg.validate()
+    # The echo records the sample count in force, not "variant default".
+    cfg.self_containment_samples = cfg.containment_samples
+    return cfg
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -186,9 +199,9 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_run_config(_read_ini(args.config), args)
+    cfg = _run_config(args)
     out = _out_dir(args)
-    _echo_run_config(cfg, out)
+    _dump(cfg, out)
     sim = Simulation(cfg)
     result = sim.run()
     _write_csv(
@@ -233,11 +246,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    cfg = _build_run_config(_read_ini(args.config), args)
+    cfg = _run_config(args)
     if cfg.byzantine_fraction > 0 or cfg.adversary != "none":
         raise ConfigError("oracle-compare requires an all-honest configuration")
     out = _out_dir(args)
-    _echo_run_config(cfg, out)
+    _dump(cfg, out)
     sim = Simulation(cfg)
     result = sim.run()
     oracle_blocks = run_unsharded_oracle(cfg)
@@ -271,133 +284,66 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_bins_mc(args) -> int:
-    cp = _read_ini(args.config)
-    _check_keys(cp, {"bins": _BINS_KEYS})
-    mode = _get(cp, "bins", "mode", str, "static")
-    n = _get(cp, "bins", "n", int, 6000)
-    m = _get(cp, "bins", "m", int, 4)
-    red_fraction = _get(cp, "bins", "red_fraction", float, 0.25)
-    seed = _get(cp, "bins", "seed", int, 0)
-    if args.seed is not None:
-        seed = args.seed
+    cfg = _load(BinsConfig, _read_ini(args.config), seed=args.seed, rounds=args.rounds)
+    if cfg.mode == "static" and args.rounds is not None:
+        raise ConfigError("--rounds applies to iterated bins-mc only")
     out = _out_dir(args)
-    echo = configparser.ConfigParser()
-    if mode == "static":
-        trials = _get(cp, "bins", "trials", int, 10_000)
-        res = mc_static_failure_rate(n, m, red_fraction, trials, seed)
-        echo["bins"] = {
-            "mode": mode,
-            "n": str(n),
-            "m": str(m),
-            "red_fraction": repr(red_fraction),
-            "trials": str(trials),
-            "seed": str(seed),
-        }
-        _write_csv(
-            out / "stats.csv",
-            [
-                "n",
-                "m",
-                "trials",
-                "failures",
-                "rate",
-                "wilson_low",
-                "wilson_high",
-                "analytic_bound",
-                "mean_red_ratio",
-            ],
-            [
-                (
-                    res.n,
-                    res.m,
-                    res.trials,
-                    res.failures,
-                    res.rate,
-                    res.wilson_low,
-                    res.wilson_high,
-                    res.analytic_bound,
-                    res.mean_red_ratio,
-                )
-            ],
+    if cfg.mode == "static":
+        res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
+        unused = _ITERATED_ONLY
+        columns = (
+            "n",
+            "m",
+            "trials",
+            "failures",
+            "rate",
+            "wilson_low",
+            "wilson_high",
+            "analytic_bound",
+            "mean_red_ratio",
         )
         print(
             f"{res.failures} failing trials of {res.trials} "
             f"(rate {res.rate:.3g}, bound {res.analytic_bound:.3g})"
         )
-    elif mode == "iterated":
-        t_lease = _get(cp, "bins", "t_lease", int, 10)
-        rounds = _get(cp, "bins", "rounds", int, args.rounds or 10_000)
-        if args.rounds is not None:
-            rounds = args.rounds
-        strategy = _get(cp, "bins", "strategy", str, "static")
-        t_takeover = _get(cp, "bins", "t_takeover", int, None)
-        attack_size = _get(cp, "bins", "attack_size", int, None)
+    elif cfg.mode == "iterated":
         try:
             res = mc_iterated_lazy(
-                n,
-                m,
-                t_lease,
-                rounds,
-                strategy=strategy,
-                red_fraction=red_fraction,
-                t_takeover=t_takeover,
-                attack_size=attack_size,
-                seed=seed,
-                stats_every=max(1, rounds // 1000),
+                cfg.n,
+                cfg.m,
+                cfg.t_lease,
+                cfg.rounds,
+                strategy=cfg.strategy,
+                red_fraction=cfg.red_fraction,
+                t_takeover=cfg.t_takeover,
+                attack_size=cfg.attack_size,
+                seed=cfg.seed,
+                stats_every=max(1, cfg.rounds // 1000),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        echo["bins"] = {
-            "mode": mode,
-            "n": str(n),
-            "m": str(m),
-            "red_fraction": repr(red_fraction),
-            "t_lease": str(t_lease),
-            "rounds": str(rounds),
-            "strategy": strategy,
-            "t_takeover": "" if t_takeover is None else str(t_takeover),
-            "attack_size": "" if attack_size is None else str(attack_size),
-            "seed": str(seed),
-        }
-        _write_csv(
-            out / "stats.csv",
-            [
-                "n",
-                "m",
-                "t_lease",
-                "rounds",
-                "strategy",
-                "failures",
-                "mean_red_ratio",
-                "attacks_launched",
-                "attacks_completed",
-                "capacity",
-                "peak_capacity_used",
-            ],
-            [
-                (
-                    res.n,
-                    res.m,
-                    res.t_lease,
-                    res.rounds,
-                    res.strategy,
-                    res.failures,
-                    res.mean_red_ratio,
-                    res.attacks_launched,
-                    res.attacks_completed,
-                    res.capacity,
-                    res.peak_capacity_used,
-                )
-            ],
+        unused = _STATIC_ONLY
+        columns = (
+            "n",
+            "m",
+            "t_lease",
+            "rounds",
+            "strategy",
+            "failures",
+            "mean_red_ratio",
+            "attacks_launched",
+            "attacks_completed",
+            "capacity",
+            "peak_capacity_used",
         )
         _write_csv(
             out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds)
         )
-        print(f"{res.failures} failing rounds of {res.rounds} ({strategy})")
+        print(f"{res.failures} failing rounds of {res.rounds} ({cfg.strategy})")
     else:
-        raise ConfigError(f"unknown bins mode {mode!r}")
-    with open(out / "effective_config.ini", "w") as fh:
-        echo.write(fh)
+        raise ConfigError(f"unknown bins mode {cfg.mode!r}")
+    _write_csv(out / "stats.csv", list(columns), [[getattr(res, c) for c in columns]])
+    _dump(cfg, out, omit=unused)
     return EXIT_OK
 
 
@@ -418,18 +364,13 @@ def _parse_table_rows(raw: str) -> list[tuple[int, int]]:
 
 
 def cmd_bound_table(args) -> int:
-    cp = _read_ini(args.config)
-    _check_keys(cp, {"table": _TABLE_KEYS})
-    raw = _get(cp, "table", "rows", str, _DEFAULT_TABLE_ROWS)
-    rows = _parse_table_rows(raw)
+    cfg = _load(TableConfig, _read_ini(args.config))
+    rows = _parse_table_rows(cfg.rows)
     out = _out_dir(args)
     table = bound_table(rows)
     header = list(table[0].keys())
     _write_csv(out / "bounds.csv", header, ([row[k] for k in header] for row in table))
-    echo = configparser.ConfigParser()
-    echo["table"] = {"rows": raw}
-    with open(out / "effective_config.ini", "w") as fh:
-        echo.write(fh)
+    _dump(cfg, out)
     for row in table:
         print(
             f"n={row['n']} m={row['m']}: per-round 1e{row['log10_per_round']:.2f}, "
@@ -439,33 +380,23 @@ def cmd_bound_table(args) -> int:
 
 
 def cmd_golden_vectors(args) -> int:
-    cp = _read_ini(args.config)
-    _check_keys(cp, {"vectors": _VECTOR_KEYS})
-    genesis_seed = _get(
-        cp, "vectors", "genesis_seed", bytes.fromhex, RunConfig().genesis_seed
-    )
-    m = _get(cp, "vectors", "m", int, 4)
-    t_lease = _get(cp, "vectors", "t_lease", int, 5)
-    num_keys = _get(cp, "vectors", "num_keys", int, 16)
-    rounds = _get(cp, "vectors", "rounds", int, 3 * t_lease)
-    if m < 1 or t_lease < 1 or num_keys < 1 or rounds < 1:
+    cfg = _load(VectorsConfig, _read_ini(args.config), rounds=args.rounds)
+    if cfg.m < 1 or cfg.t_lease < 1 or cfg.num_keys < 1 or cfg.rounds < 1:
         raise ConfigError("vector parameters must be positive")
     out = _out_dir(args)
-    key_ids = [f"k{i:02d}" for i in range(num_keys)]
-    text = golden_vector_text(genesis_seed, key_ids, m, t_lease, rounds)
+    key_ids = [f"k{i:02d}" for i in range(cfg.num_keys)]
+    text = golden_vector_text(cfg.genesis_seed, key_ids, cfg.m, cfg.t_lease, cfg.rounds)
     (out / "vectors.txt").write_text(text)
-    echo = configparser.ConfigParser()
-    echo["vectors"] = {
-        "genesis_seed": genesis_seed.hex(),
-        "m": str(m),
-        "t_lease": str(t_lease),
-        "num_keys": str(num_keys),
-        "rounds": str(rounds),
-    }
-    with open(out / "effective_config.ini", "w") as fh:
-        echo.write(fh)
-    print(f"wrote {num_keys} keys x {rounds} rounds to {out / 'vectors.txt'}")
+    _dump(cfg, out)
+    print(f"wrote {cfg.num_keys} keys x {cfg.rounds} rounds to {out / 'vectors.txt'}")
     return EXIT_OK
+
+
+_FLAGS = {
+    "--seed": dict(type=int, help="override rng seed"),
+    "--rounds": dict(type=int, help="override round count"),
+    "--negative-mode": dict(choices=NEGATIVE_MODES, help="inject a deliberate defect"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,24 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="sharded-ledger simulator and failure analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("simulate", cmd_simulate),
-        ("oracle-compare", cmd_oracle_compare),
-        ("bins-mc", cmd_bins_mc),
-        ("bound-table", cmd_bound_table),
-        ("golden-vectors", cmd_golden_vectors),
+    # Each subcommand takes only the override flags it uses.
+    for name, handler, flags in (
+        ("simulate", cmd_simulate, ("--seed", "--rounds", "--negative-mode")),
+        ("oracle-compare", cmd_oracle_compare, ("--seed", "--rounds", "--negative-mode")),
+        ("bins-mc", cmd_bins_mc, ("--seed", "--rounds")),
+        ("bound-table", cmd_bound_table, ()),
+        ("golden-vectors", cmd_golden_vectors, ("--rounds",)),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override rng seed")
-        p.add_argument("--rounds", type=int, default=None, help="override round count")
-        p.add_argument(
-            "--negative-mode",
-            choices=["none", "conflict-partition", "broken-sync"],
-            default=None,
-            help="inject a deliberate defect",
-        )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 

@@ -182,9 +182,6 @@ class LedgerContext:
     def balances(self) -> dict[PublicKey, int]:
         return self._balances
 
-    def blocks(self) -> list[Block]:
-        return [entry.block for entry in self.entries]
-
     def append(self, block: Block, round: Optional[int] = None, remote: bool = False) -> None:
         if round is None:
             round = sum(1 for e in self.entries if not e.remote)

@@ -155,18 +155,22 @@ class Membership:
         diff = (slot - t_shuffle) % self.t_lease
         return max(1, r - diff)
 
-    def _first_slot_round(self, record: NodeRecord) -> int:
-        if record.t_join == 0:
-            return 1
-        assert record.t_shuffle is not None
-        base = record.t_join + self.t_lease
-        return base + ((record.t_shuffle - base) % self.t_lease)
-
     def eligible(self, pk: PublicKey, r: int) -> bool:
-        record = self.records.get(pk)
+        return self._record_eligible(self.records.get(pk), r)
+
+    def _record_eligible(self, record: Optional[NodeRecord], r: int) -> bool:
+        """The one eligibility rule, for issuing and for verifying.
+
+        A node may sit from its first shuffle slot after benching: genesis
+        nodes from round 1, joiners from the first round congruent to
+        their slot at or after t_join + t_lease.
+        """
         if record is None or record.t_shuffle is None:
             return False
-        return r >= self._first_slot_round(record)
+        if record.t_join == 0:
+            return r >= 1
+        base = record.t_join + self.t_lease
+        return r >= base + ((record.t_shuffle - base) % self.t_lease)
 
     # -- certificate issue and check ----------------------------------------
 
@@ -189,9 +193,7 @@ class Membership:
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
         """Public check of a claimed (pk, shard) for round ``r``; never raises."""
         record = self.records.get(pk)
-        if record is None or record.t_shuffle is None:
-            return False
-        if record.t_join > max(0, r - self.t_lease):
+        if not self._record_eligible(record, r):
             return False
         if shard_index(unit_hash(sigma), self.m) != shard:
             return False

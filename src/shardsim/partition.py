@@ -7,7 +7,7 @@ compete (they must share a sender) land in the same shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 from .crypto import shard_index
 from .keys import PublicKey
@@ -46,9 +46,18 @@ class PartitionSpec:
     def which_part(self, tx: Transaction) -> int:
         return self.shard_of_position(tx.sender.position)
 
-    def part(self, txs: Iterable[Transaction]) -> list[set[Transaction]]:
-        """Split ``txs`` into m disjoint sets; element i-1 belongs to shard i."""
+    def part(
+        self,
+        txs: Iterable[Transaction],
+        route: Optional[Callable[[Transaction], int]] = None,
+    ) -> list[set[Transaction]]:
+        """Split ``txs`` into m disjoint sets; element i-1 belongs to shard i.
+
+        ``route`` maps a transaction to its shard and defaults to
+        ``which_part``, the sender rule.
+        """
+        route = route or self.which_part
         parts: list[set[Transaction]] = [set() for _ in range(self.m)]
         for tx in txs:
-            parts[self.which_part(tx) - 1].add(tx)
+            parts[route(tx) - 1].add(tx)
         return parts

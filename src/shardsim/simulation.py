@@ -40,7 +40,7 @@ from .ledger import (
 )
 from .membership import Membership, MembershipCertificate, evolve_shard_seed
 from .partition import PartitionSpec
-from .sync import RemoteSupport, eager_collect_support, lazy_collect_support
+from .sync import eager_collect_support, lazy_collect_support
 from .workload import WorkloadParams, genesis_block, round_transactions
 
 DEFAULT_GENESIS_SEED = oracle_hash(b"shardsim/default-genesis")
@@ -187,6 +187,7 @@ class Simulation:
         self.clients = [self.scheme.keygen(f"u{i:05d}") for i in range(cfg.n)]
         self.by_pk = {kp.pk: kp for kp in self.clients}
         self.spec = PartitionSpec(cfg.m)
+        self.intervals = [self.spec.interval(i) for i in range(1, cfg.m + 1)]
         self.route = self._make_router()
 
         adv_rng = np.random.default_rng(
@@ -211,8 +212,8 @@ class Simulation:
             LedgerContext(self.scheme, self.mint.pk) for _ in range(cfg.m)
         ]
         self._clients_by_shard = [
-            [kp for kp in self.clients if self.spec.interval(i).contains(kp.pk)]
-            for i in range(1, cfg.m + 1)
+            [kp for kp in self.clients if interval.contains(kp.pk)]
+            for interval in self.intervals
         ]
         self.result = RunResult(cfg)
         self._candidate_counter = 0
@@ -227,18 +228,12 @@ class Simulation:
             return lambda tx: self.spec.shard_of_position(tx.outputs[0].to.position)
         return self.spec.which_part
 
-    def _partition(self, txs) -> list[set[Transaction]]:
-        parts: list[set[Transaction]] = [set() for _ in range(self.cfg.m)]
-        for tx in txs:
-            parts[self.route(tx) - 1].add(tx)
-        return parts
-
-    def _collect_support(self, gb: GlobalBlock, shard: int, r: int) -> RemoteSupport:
+    def _collect_support(self, gb: GlobalBlock, shard: int, r: int) -> Block:
         if self.cfg.negative_mode == "broken-sync" and r > 0:
-            return RemoteSupport(shard, r, frozenset())
+            return Block.empty()
         if self.cfg.sync == "eager":
-            return eager_collect_support(gb, shard, r)
-        return lazy_collect_support(gb, shard, r)
+            return eager_collect_support(gb, self.intervals[shard - 1])
+        return lazy_collect_support(gb, self.intervals[shard - 1])
 
     def _bootstrap(self) -> None:
         # Bootstrap is always honest, even in negative modes: every shard
@@ -248,15 +243,13 @@ class Simulation:
         b0 = genesis_block(
             self.scheme, self.mint, self.clients, self.cfg.initial_balance
         )
-        parts: list[set[Transaction]] = [set() for _ in range(self.cfg.m)]
-        for tx in b0:
-            parts[self.spec.which_part(tx) - 1].add(tx)
-        gb0 = GlobalBlock(tuple(Block.of(p) for p in parts))
+        gb0 = GlobalBlock(tuple(Block.of(p) for p in self.spec.part(b0)))
         self.global_ctx.append(Block(b0.txs), round=0)
         for i in range(1, self.cfg.m + 1):
-            rs = self._collect_support(gb0, i, 0)
             self.local_ctx[i - 1].append(gb0.sub_block(i), round=0)
-            self.local_ctx[i - 1].append(rs.as_block(), round=0, remote=True)
+            self.local_ctx[i - 1].append(
+                self._collect_support(gb0, i, 0), round=0, remote=True
+            )
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in b0)))
 
     # -- per-round machinery -------------------------------------------------
@@ -311,7 +304,7 @@ class Simulation:
         """A compromised shard's output under the double-spend strategy."""
         if self.cfg.adversary != "double-spend":
             return greedy_admissible_block(pool, ctx)
-        interval = self.spec.interval(shard)
+        interval = self.intervals[shard - 1]
         reds_here = [
             self.by_pk[pk]
             for pk in sorted(self.red, key=lambda k: k.id)
@@ -397,7 +390,7 @@ class Simulation:
         pending = round_transactions(
             self.scheme, self.clients, cfg.workload(), cfg.seed, r
         )
-        parts = self._partition(pending)
+        parts = self.spec.part(pending, self.route)
 
         sub_blocks: list[Block] = []
         certified_by_shard: list[list[PublicKey]] = []
@@ -445,9 +438,10 @@ class Simulation:
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in union)))
 
         for shard in range(1, cfg.m + 1):
-            rs = self._collect_support(gb, shard, r)
             self.local_ctx[shard - 1].append(gb.sub_block(shard), round=r)
-            self.local_ctx[shard - 1].append(rs.as_block(), round=r, remote=True)
+            self.local_ctx[shard - 1].append(
+                self._collect_support(gb, shard, r), round=r, remote=True
+            )
 
         if cfg.containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))

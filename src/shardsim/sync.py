@@ -9,40 +9,22 @@ shards need to keep local admissibility checks equal to global ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ledger import Block, GlobalBlock, Transaction
-from .partition import PartitionSpec
+from .ledger import Block, GlobalBlock
+from .partition import KeyInterval
 
 
-@dataclass(frozen=True)
-class RemoteSupport:
-    shard: int
-    round: int
-    txs: frozenset[Transaction]
-
-    def as_block(self) -> Block:
-        return Block(self.txs)
-
-
-def eager_collect_support(global_block: GlobalBlock, shard: int, round: int) -> RemoteSupport:
-    """All transactions whose sender lives outside ``shard``."""
-    spec = PartitionSpec(global_block.m)
-    interval = spec.interval(shard)
-    txs = frozenset(
+def eager_collect_support(global_block: GlobalBlock, interval: KeyInterval) -> Block:
+    """All transactions whose sender lives outside the shard's ``interval``."""
+    return Block.of(
         tx for tx in global_block.all_txs() if not interval.contains(tx.sender)
     )
-    return RemoteSupport(shard, round, txs)
 
 
-def lazy_collect_support(global_block: GlobalBlock, shard: int, round: int) -> RemoteSupport:
-    """Remote transactions with at least one output paying into ``shard``."""
-    spec = PartitionSpec(global_block.m)
-    interval = spec.interval(shard)
-    txs = frozenset(
+def lazy_collect_support(global_block: GlobalBlock, interval: KeyInterval) -> Block:
+    """Remote transactions with at least one output paying into ``interval``."""
+    return Block.of(
         tx
         for tx in global_block.all_txs()
         if not interval.contains(tx.sender)
         and any(interval.contains(out.to) for out in tx.outputs)
     )
-    return RemoteSupport(shard, round, txs)

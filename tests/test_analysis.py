@@ -10,7 +10,6 @@ from shardsim.analysis import (
     ROUNDS_PER_MILLION_YEARS,
     IteratedBinsResult,
     analytic_failure_bound,
-    binomial_one_sided_pvalue,
     bound_table,
     chernoff_tail_bounds,
     log10_failure_bound,
@@ -276,23 +275,3 @@ def test_iterated_reproducible():
     assert a.attacks_launched == b.attacks_launched
     assert a.mean_red_ratio == b.mean_red_ratio
 
-
-# -- binomial comparison ------------------------------------------------------
-
-
-def test_binomial_pvalue_matches_scipy():
-    for higher, lower in ((0, 0), (3, 1), (10, 2), (5, 5), (0, 7)):
-        got = binomial_one_sided_pvalue(higher, lower)
-        total = higher + lower
-        if total == 0:
-            assert got == 1.0
-        else:
-            expected = scipy.stats.binomtest(
-                higher, total, 0.5, alternative="greater"
-            ).pvalue
-            assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_binomial_pvalue_extremes():
-    assert binomial_one_sided_pvalue(0, 10) == pytest.approx(1.0, rel=1e-12)
-    assert binomial_one_sided_pvalue(20, 0) == pytest.approx(2.0**-20, rel=1e-9)

@@ -157,6 +157,33 @@ def test_simulate_config_rejection(tmp_path, text, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_percent_sign_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "[run]\nadversary = 5%\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "recorded, flag, expect",
+    [
+        ("broken-sync", None, EXIT_CONFIG),
+        ("none", "broken-sync", EXIT_CONFIG),
+        ("broken-sync", "broken-sync", EXIT_BREACH),
+        ("none", None, EXIT_OK),
+    ],
+)
+def test_negative_mode_in_file_only_records_the_flag(tmp_path, recorded, flag, expect):
+    cfg = _write(
+        tmp_path,
+        f"[run]\nsync = lazy\nt_lease = 3\nrounds = 20\nnegative_mode = {recorded}\n",
+    )
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+    if flag is not None:
+        argv += ["--negative-mode", flag]
+    assert main(argv) == expect
+
+
 def test_missing_config_file(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -250,6 +277,11 @@ def test_bins_mc_adaptive(tmp_path):
     assert int(stats["peak_capacity_used"]) <= int(stats["capacity"])
 
 
+def test_bins_mc_static_rejects_rounds(tmp_path):
+    out = tmp_path / "out"
+    assert main(["bins-mc", "--out", str(out), "--rounds", "5"]) == EXIT_CONFIG
+
+
 def test_bins_mc_bad_mode(tmp_path):
     cfg = _write(tmp_path, "[bins]\nmode = quantum\n")
     out = tmp_path / "out"
@@ -311,10 +343,91 @@ def test_golden_vectors_output(tmp_path):
     assert (out / "vectors.txt").read_text() == expect
 
 
+def test_golden_vectors_rounds_flag(tmp_path):
+    cfg = _write(tmp_path, "[vectors]\nnum_keys = 3\nrounds = 7\n")
+    out = tmp_path / "out"
+    code = main(["golden-vectors", "--config", cfg, "--out", str(out), "--rounds", "2"])
+    assert code == EXIT_OK
+    expect = golden_vector_text(DEFAULT_GENESIS_SEED, ["k00", "k01", "k02"], 4, 5, 2)
+    assert (out / "vectors.txt").read_text() == expect
+
+
 def test_golden_vectors_rejects_nonpositive(tmp_path):
     cfg = _write(tmp_path, "[vectors]\nm = 0\n")
     out = tmp_path / "out"
     assert main(["golden-vectors", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+
+# -- flags and replay ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bins-mc", "--negative-mode"),
+        ("bound-table", "--seed"),
+        ("bound-table", "--rounds"),
+        ("bound-table", "--negative-mode"),
+        ("golden-vectors", "--seed"),
+        ("golden-vectors", "--negative-mode"),
+    ],
+)
+def test_unused_flags_are_usage_errors(tmp_path, command, flag):
+    value = "broken-sync" if flag == "--negative-mode" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, replay_flags",
+    [
+        (
+            "simulate",
+            "[run]\nn = 30\nm = 4\nrounds = 50\n",
+            ["--seed", "13", "--rounds", "5"],
+            [],
+        ),
+        (
+            "simulate",
+            TIGHT_INI.replace("[run]\n", "[run]\nsync = lazy\nt_lease = 3\n"),
+            ["--negative-mode", "broken-sync"],
+            ["--negative-mode", "broken-sync"],
+        ),
+        ("oracle-compare", "[run]\nn = 40\nm = 4\nrounds = 5\nseed = 1\n", [], []),
+        ("bins-mc", "[bins]\nn = 400\ntrials = 500\nseed = 5\n", [], []),
+        (
+            "bins-mc",
+            "[bins]\nmode = iterated\nn = 400\nt_lease = 5\nstrategy = adaptive-greedy\n"
+            "t_takeover = 5\n",
+            ["--seed", "7", "--rounds", "200"],
+            [],
+        ),
+        ("bound-table", "[table]\nrows = 6000:4, 2000:2\n", [], []),
+        ("golden-vectors", "[vectors]\nt_lease = 3\nnum_keys = 4\n", [], []),
+    ],
+    ids=[
+        "simulate",
+        "simulate-broken-sync",
+        "oracle-compare",
+        "bins-mc-static",
+        "bins-mc-iterated",
+        "bound-table",
+        "golden-vectors",
+    ],
+)
+def test_effective_config_replays(tmp_path, command, text, flags, replay_flags):
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = main([command, "--config", _write(tmp_path, text), "--out", str(first), *flags])
+    echo = str(first / "effective_config.ini")
+    replay = main([command, "--config", echo, "--out", str(again), *replay_flags])
+    assert replay == code
+    names = sorted(path.name for path in first.iterdir())
+    assert "effective_config.ini" in names
+    assert sorted(path.name for path in again.iterdir()) == names
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 # -- process-level entry ------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 import scipy.stats
 
-from shardsim.crypto import unit_hash
+from shardsim.crypto import shard_index, unit_hash
 from shardsim.keys import PublicKey, SignatureScheme
 from shardsim.membership import (
     EligibilityError,
@@ -245,8 +245,37 @@ def test_registration_not_verifiable_before_lease_age():
     first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
     _advance(mem, first - mem.round)
     cert = mem.get_membership(joiner, first)
-    # t_join = 10 > max(0, r - t_lease) for r < 15 blocks any earlier claim.
+    # The joiner is not eligible before its first slot, so no earlier claim verifies.
     assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, 14)
+
+
+def test_verify_member_implies_eligible_for_joiners():
+    # Joiners bench from registration to their first shuffle slot. A
+    # correctly signed certificate for any round in between must fail
+    # verification, exactly as issuance refuses it.
+    scheme, _, mem = _fresh(m=3, t_lease=5)
+    joiners = [scheme.keygen(f"join{t:02d}") for t in range(1, 12)]
+    accepted_early = []
+    benched_with_slot = 0
+    for r in range(1, 30):
+        if r <= len(joiners):
+            mem.register_nodes(r, [joiners[r - 1].pk])
+        for kp in joiners:
+            record = mem.records.get(kp.pk)
+            if record is None or record.t_shuffle is None:
+                continue
+            seed = mem._seed_history.get(mem.epoch_start(record.t_shuffle, r))
+            if seed is None:
+                continue
+            sigma = scheme.sign(kp.sk, seed)
+            shard = shard_index(unit_hash(sigma), mem.m)
+            eligible = mem.eligible(kp.pk, r)
+            benched_with_slot += not eligible
+            if mem.verify_member(kp.pk, sigma, shard, r) and not eligible:
+                accepted_early.append((kp.pk.id, r))
+        _advance(mem, 1)
+    assert benched_with_slot > 0  # the probe reaches the gap it guards
+    assert accepted_early == []
 
 
 def test_eager_registration_active_next_round():

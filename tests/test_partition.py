@@ -79,6 +79,13 @@ def test_part_singleton():
     assert tx in parts[spec.which_part(tx) - 1]
 
 
+def test_part_with_router():
+    spec = PartitionSpec(4)
+    txs = {_tx_at(position_of(f"rr{i}"), f"rr{i}") for i in range(50)}
+    parts = spec.part(txs, route=lambda tx: 4)
+    assert parts == [set(), set(), set(), txs]
+
+
 def test_part_round_trip_identity():
     spec = PartitionSpec(8)
     txs = {_tx_at(position_of(f"rt{i}"), f"rt{i}") for i in range(200)}
