@@ -117,6 +117,8 @@ def _read_ini(path: Optional[str]) -> configparser.ConfigParser:
             cp.read(target)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"{path!r}: [DEFAULT] is not a config section")
     return cp
 
 

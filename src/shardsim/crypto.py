@@ -20,7 +20,10 @@ _UNIT_DENOM = 1 << UNIT_BITS
 
 def oracle_hash(*parts: bytes) -> bytes:
     """SHA-256 over the raw concatenation of ``parts``."""
-    return hashlib.sha256(b"".join(parts)).digest()
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
 def be8(value: int) -> bytes:

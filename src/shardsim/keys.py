@@ -39,11 +39,6 @@ class PublicKey:
     id: str
     position: float = field(compare=False)
 
-    def __hash__(self) -> int:
-        # Same equality as the generated hash, without building a tuple:
-        # keys are hashed on every membership and ledger lookup.
-        return hash(self.id)
-
     @classmethod
     def from_id(cls, key_id: str) -> "PublicKey":
         return cls(key_id, position_of(key_id))
@@ -76,26 +71,22 @@ class SignatureScheme:
 
     def __init__(self) -> None:
         self._secrets: dict[str, bytes] = {}
-        self._pairs: dict[str, KeyPair] = {}
         self._by_position: dict[float, str] = {}
 
     def keygen(self, key_id: str) -> KeyPair:
-        if key_id in self._pairs:
-            return self._pairs[key_id]
+        if key_id in self._secrets:
+            return self.keypair(key_id)
         pk = PublicKey.from_id(key_id)
         owner = self._by_position.get(pk.position)
         if owner is not None and owner != key_id:
             raise KeyError_(f"position collision between {owner!r} and {key_id!r}")
         sk = oracle_hash(_SK_TAG, key_id.encode())
-        kp = KeyPair(pk, sk)
         self._secrets[key_id] = sk
-        self._pairs[key_id] = kp
         self._by_position[pk.position] = key_id
-        return kp
+        return KeyPair(pk, sk)
 
     def keypair(self, key_id: str) -> KeyPair:
-        """The pair ``keygen`` made: the same objects, so lookups hit by identity."""
-        return self._pairs[key_id]
+        return KeyPair(PublicKey.from_id(key_id), self._secrets[key_id])
 
     def knows(self, pk: PublicKey) -> bool:
         return pk.id in self._secrets

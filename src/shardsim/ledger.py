@@ -48,11 +48,6 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     sig: bytes
 
-    def __hash__(self) -> int:
-        # Equal transactions share a tx_id; hashing the id alone spares the
-        # nested key and output hashes on every set and block built.
-        return hash(self.tx_id)
-
     def __post_init__(self) -> None:
         if not self.outputs:
             raise LedgerError(f"transaction {self.tx_id!r} has no outputs")

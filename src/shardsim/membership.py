@@ -183,14 +183,10 @@ class Membership:
         record = self.records.get(kp.pk)
         if record is None:
             raise EligibilityError(f"{kp.pk.id!r} is not registered")
-        if not self._record_eligible(record, r):
+        if not self.eligible(kp.pk, r):
             raise EligibilityError(f"{kp.pk.id!r} may not participate at round {r}")
         assert record.t_shuffle is not None
         seed = self._seed_at(self.epoch_start(record.t_shuffle, r))
-        return self._certify(kp, seed, r)
-
-    def _certify(self, kp: KeyPair, seed: bytes, r: int) -> MembershipCertificate:
-        """Sign the node's epoch seed; the caller has checked eligibility."""
         sigma = self.scheme.sign(kp.sk, seed)
         return MembershipCertificate(kp.pk, shard_index(unit_hash(sigma), self.m), sigma, r)
 
@@ -245,15 +241,14 @@ class Membership:
                     record.pk, self.seeds.global_seed, self.t_lease
                 )
 
-        # A node re-drawn now starts its epoch now: it signs this new seed.
         redrawn: set[PublicKey] = set()
         slot = (r + 1) % self.t_lease
         for pk, record in self.records.items():
-            if record.t_shuffle != slot or not self._record_eligible(record, r + 1):
+            if record.t_shuffle != slot:
                 continue
-            cert = self._certify(
-                self.scheme.keypair(pk.id), self.seeds.global_seed, r + 1
-            )
+            if not self.eligible(pk, r + 1):
+                continue
+            cert = self.get_membership(self.scheme.keypair(pk.id), r + 1)
             self.assignment[pk] = cert.shard
             self.certificates[pk] = cert
             redrawn.add(pk)
@@ -261,12 +256,8 @@ class Membership:
 
     # -- views ---------------------------------------------------------------
 
-    def members_by_shard(self) -> list[list[PublicKey]]:
-        """Every shard's members in key-id order; entry i is shard i + 1."""
-        out: list[list[PublicKey]] = [[] for _ in range(self.m)]
-        for pk, shard in sorted(self.assignment.items(), key=lambda item: item[0].id):
-            out[shard - 1].append(pk)
-        return out
+    def members_of(self, shard: int) -> set[PublicKey]:
+        return {pk for pk, s in self.assignment.items() if s == shard}
 
     def shard_counts(self) -> list[int]:
         counts = [0] * self.m

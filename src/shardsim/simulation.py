@@ -254,12 +254,10 @@ class Simulation:
 
     # -- per-round machinery -------------------------------------------------
 
-    def _participations(self, members: list[PublicKey], r: int) -> list[Participation]:
-        """Claims of one shard's ``members`` (an entry of ``members_by_shard``)."""
-        certificates = self.membership.certificates
+    def _participations(self, shard: int, r: int) -> list[Participation]:
         out = []
-        for pk in members:
-            cert = certificates[pk]
+        for pk in sorted(self.membership.members_of(shard), key=lambda k: k.id):
+            cert = self.membership.certificates[pk]
             out.append(Participation(pk, cert.sigma, cert.shard, r))
         return out
 
@@ -396,9 +394,8 @@ class Simulation:
 
         sub_blocks: list[Block] = []
         certified_by_shard: list[list[PublicKey]] = []
-        seated = self.membership.members_by_shard()
         for shard in range(1, cfg.m + 1):
-            participations = self._participations(seated[shard - 1], r)
+            participations = self._participations(shard, r)
             block, certified, byz, breach = self.decide_sub_block(
                 shard, participations, parts[shard - 1], r
             )

@@ -164,6 +164,14 @@ def test_percent_sign_is_a_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nwarp = 9\n", "[DEFAULT]\nm = 4\n[run]\n"])
+def test_default_section_is_a_config_error(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "[DEFAULT]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "recorded, flag, expect",
     [

@@ -197,7 +197,7 @@ def test_round_records_shape():
 
 def test_wrong_shard_certificates_are_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(sim.membership.members_by_shard()[0], 1)
+    real = sim._participations(1, 1)
     assert real, "shard 1 should be populated"
     # Present shard 1's certificates as if they claimed shard 2 seats.
     forged = [Participation(p.pk, p.sigma, p.shard, p.round) for p in real]
@@ -209,7 +209,7 @@ def test_wrong_shard_certificates_are_discarded():
 
 def test_tampered_sigma_is_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(sim.membership.members_by_shard()[0], 1)
+    real = sim._participations(1, 1)
     forged = [Participation(p.pk, b"\x00" * 32, p.shard, p.round) for p in real]
     block, certified, _, _ = sim.decide_sub_block(1, forged, set(), 1)
     assert certified == []
@@ -224,7 +224,7 @@ def test_competing_pool_resolves_to_lexicographic_winner():
     tx_a = build_transaction(sim.scheme, spender, [(others[0].pk, bal)], "dup-a")
     tx_b = build_transaction(sim.scheme, spender, [(others[1].pk, bal)], "dup-b")
     shard = sim.spec.which_part(tx_a)
-    parts = sim._participations(sim.membership.members_by_shard()[shard - 1], 1)
+    parts = sim._participations(shard, 1)
     block, certified, _, _ = sim.decide_sub_block(shard, parts, {tx_a, tx_b}, 1)
     assert certified
     assert {tx.tx_id for tx in block} == {"dup-a"}
