@@ -117,6 +117,9 @@ class Membership:
         self.certificates: dict[PublicKey, MembershipCertificate] = {}
         self.seeds: Optional[SeedState] = None
         self._seed_history: dict[int, bytes] = {}
+        # Epoch start -> sigma -> (pk, shard) of each certificate that passed
+        # verify_member; a start's entries leave with its seed.
+        self._verified: dict[int, dict[bytes, tuple[PublicKey, int]]] = {}
 
     @classmethod
     def init(
@@ -183,7 +186,7 @@ class Membership:
         record = self.records.get(kp.pk)
         if record is None:
             raise EligibilityError(f"{kp.pk.id!r} is not registered")
-        if not self.eligible(kp.pk, r):
+        if not self._record_eligible(record, r):
             raise EligibilityError(f"{kp.pk.id!r} may not participate at round {r}")
         assert record.t_shuffle is not None
         seed = self._seed_at(self.epoch_start(record.t_shuffle, r))
@@ -195,12 +198,17 @@ class Membership:
         record = self.records.get(pk)
         if not self._record_eligible(record, r):
             return False
+        start = self.epoch_start(record.t_shuffle, r)
+        verified = self._verified.get(start)
+        if verified is not None and verified.get(sigma) == (pk, shard):
+            return True
         if shard_index(unit_hash(sigma), self.m) != shard:
             return False
-        seed = self._seed_history.get(self.epoch_start(record.t_shuffle, r))
-        if seed is None:
+        seed = self._seed_history.get(start)
+        if seed is None or not self.scheme.verify(pk, seed, sigma):
             return False
-        return self.scheme.verify(pk, seed, sigma)
+        self._verified.setdefault(start, {})[sigma] = (pk, shard)
+        return True
 
     def _seed_at(self, r: int) -> bytes:
         seed = self._seed_history.get(r)
@@ -234,6 +242,7 @@ class Membership:
         self._seed_history[r + 1] = self.seeds.global_seed
         for past in [k for k in self._seed_history if k <= r + 1 - self.t_lease]:
             del self._seed_history[past]
+            self._verified.pop(past, None)
 
         for record in self.records.values():
             if record.t_shuffle is None and record.t_join + self.t_lease == r + 1:
@@ -246,7 +255,7 @@ class Membership:
         for pk, record in self.records.items():
             if record.t_shuffle != slot:
                 continue
-            if not self.eligible(pk, r + 1):
+            if not self._record_eligible(record, r + 1):
                 continue
             cert = self.get_membership(self.scheme.keypair(pk.id), r + 1)
             self.assignment[pk] = cert.shard

@@ -211,6 +211,8 @@ class Simulation:
         self.local_ctx = [
             LedgerContext(self.scheme, self.mint.pk) for _ in range(cfg.m)
         ]
+        # Transactions of each shard's own (non-remote) entries, in entry order.
+        self._own_txs: list[list[Transaction]] = [[] for _ in range(cfg.m)]
         self._clients_by_shard = [
             [kp for kp in self.clients if interval.contains(kp.pk)]
             for interval in self.intervals
@@ -246,11 +248,17 @@ class Simulation:
         gb0 = GlobalBlock(tuple(Block.of(p) for p in self.spec.part(b0)))
         self.global_ctx.append(Block(b0.txs), round=0)
         for i in range(1, self.cfg.m + 1):
-            self.local_ctx[i - 1].append(gb0.sub_block(i), round=0)
-            self.local_ctx[i - 1].append(
-                self._collect_support(gb0, i, 0), round=0, remote=True
-            )
+            self._append_local(gb0, i, 0)
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in b0)))
+
+    def _append_local(self, gb: GlobalBlock, shard: int, r: int) -> None:
+        """Append the shard's own sub-block, then its remote support."""
+        own = gb.sub_block(shard)
+        self.local_ctx[shard - 1].append(own, round=r)
+        self._own_txs[shard - 1].extend(own)
+        self.local_ctx[shard - 1].append(
+            self._collect_support(gb, shard, r), round=r, remote=True
+        )
 
     # -- per-round machinery -------------------------------------------------
 
@@ -336,15 +344,10 @@ class Simulation:
         senders = self._clients_by_shard[shard - 1]
         if not senders:
             return None
-        own_entries = [
-            tx
-            for e in self.local_ctx[shard - 1].entries
-            if not e.remote
-            for tx in e.block
-        ]
-        if own_entries and rng.random() < 0.25:
+        own = self._own_txs[shard - 1]
+        if own and rng.random() < 0.25:
             # Replay: already-recorded transactions must fail identically.
-            return Block.of([own_entries[int(rng.integers(len(own_entries)))]])
+            return Block.of([own[int(rng.integers(len(own)))]])
         txs = []
         for _ in range(int(rng.integers(1, 4))):
             kp = senders[int(rng.integers(len(senders)))]
@@ -438,10 +441,7 @@ class Simulation:
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in union)))
 
         for shard in range(1, cfg.m + 1):
-            self.local_ctx[shard - 1].append(gb.sub_block(shard), round=r)
-            self.local_ctx[shard - 1].append(
-                self._collect_support(gb, shard, r), round=r, remote=True
-            )
+            self._append_local(gb, shard, r)
 
         if cfg.containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))

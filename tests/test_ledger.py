@@ -8,8 +8,9 @@ balances, grow-and-verify greedy selection, restricted-context support).
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shardsim.keys import PublicKey
+from shardsim.keys import PublicKey, SignatureScheme
 from shardsim.ledger import (
     Block,
     GlobalBlock,
@@ -450,6 +451,63 @@ def test_greedy_matches_grow_and_verify(scheme, mint):
         got = greedy_admissible_block(pool, ctx)
         assert got.txs == frozenset(_grow_and_verify(pool, ctx))
         assert verify(got, ctx)
+
+
+# Hypothesis properties run over one fixed funded context; a pool is a list
+# of (tx_id index, sender, recipient, amount, tampered) specs. Indices below
+# _REPLAYS name transactions already in the context.
+_PROP_SCHEME = SignatureScheme()
+_PROP_MINT = _PROP_SCHEME.keygen("mint")
+_PROP_CTX, _PROP_CLIENTS = _random_history(_PROP_SCHEME, _PROP_MINT, seed=23, rounds=3)
+_REPLAYS = 4
+
+_tx_specs = st.tuples(
+    st.integers(0, 30),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(1, 80),
+    st.integers(0, 7).map(lambda k: k == 0),
+)
+
+
+def _build_pool(specs):
+    pool = []
+    for idx, sender, to, amount, tampered in specs:
+        tx_id = f"h{idx:05d}" if idx < _REPLAYS else f"p{idx:03d}"
+        tx = build_transaction(
+            _PROP_SCHEME,
+            _PROP_CLIENTS[sender],
+            [(_PROP_CLIENTS[to].pk, amount)],
+            tx_id,
+        )
+        if tampered:
+            tx = Transaction(tx.tx_id, tx.sender, tx.outputs, b"\x00" * 32)
+        pool.append(tx)
+    return pool
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    specs=st.lists(_tx_specs, max_size=12, unique_by=lambda s: s[0]),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_verify_order_free_and_closed_under_subsets(specs, rnd):
+    txs = _build_pool(specs)
+    verdict = verify(Block.of(txs), _PROP_CTX)
+    # verify only iterates its block, so a list fixes the visiting order.
+    rnd.shuffle(txs)
+    assert verify(txs, _PROP_CTX) == verdict
+    if verdict:
+        subset = rnd.sample(txs, rnd.randrange(len(txs) + 1))
+        assert verify(Block.of(subset), _PROP_CTX)
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs=st.lists(_tx_specs, max_size=16))
+def test_greedy_equals_grow_and_verify_property(specs):
+    pool = _build_pool(specs)
+    got = greedy_admissible_block(pool, _PROP_CTX)
+    assert got.txs == frozenset(_grow_and_verify(pool, _PROP_CTX))
 
 
 def test_greedy_rejections_stay_inadmissible(scheme, mint):

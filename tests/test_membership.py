@@ -4,6 +4,7 @@ import math
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from shardsim.crypto import shard_index, unit_hash
 from shardsim.keys import PublicKey, SignatureScheme
@@ -202,6 +203,81 @@ def test_old_seed_not_retained():
     _advance(mem, 10)
     with pytest.raises(MembershipError):
         mem._seed_at(3)
+
+
+# -- one check per certificate per epoch ---------------------------------------
+
+
+def _uncached_verify(mem, pk, sigma, shard, r):
+    """The verification rule recomputed from public state, without the memo."""
+    if not mem.eligible(pk, r):
+        return False
+    if shard_index(unit_hash(sigma), mem.m) != shard:
+        return False
+    seed = mem._seed_history.get(mem.epoch_start(mem.records[pk].t_shuffle, r))
+    return seed is not None and mem.scheme.verify(pk, seed, sigma)
+
+
+def test_memo_hit_needs_the_accepted_claim():
+    # Round 1 is every node's (truncated) first epoch start, so all claims
+    # below consult the same memo entry.
+    _, kps, mem = _fresh(m=4)
+    cert = mem.get_membership(kps[0], 1)
+    assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+    assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+    assert not mem.verify_member(kps[1].pk, cert.sigma, cert.shard, 1)
+    assert not mem.verify_member(cert.pk, cert.sigma, cert.shard % 4 + 1, 1)
+    forged = bytes([cert.sigma[0] ^ 0x01]) + cert.sigma[1:]
+    assert not mem.verify_member(cert.pk, forged, shard_index(unit_hash(forged), 4), 1)
+
+
+def test_memo_pruned_with_seeds_and_stale_certificates_refused():
+    _, kps, mem = _fresh(t_lease=3)
+    certs = {kp.pk: mem.get_membership(kp, 1) for kp in kps}
+    for cert in certs.values():
+        assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+    for r in range(2, 9):
+        _advance(mem, 1)
+        assert set(mem._verified) <= set(mem._seed_history)
+        for kp in kps:
+            cert = mem.get_membership(kp, r)
+            assert mem.verify_member(cert.pk, cert.sigma, cert.shard, r)
+    # With t_lease = 3, every epoch in force at round 8 started after round 1.
+    for cert in certs.values():
+        assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    t_lease=st.integers(1, 5),
+    joins=st.lists(st.integers(1, 12), max_size=6),
+    rounds=st.integers(1, 14),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_memoized_verify_equals_uncached_rule(m, t_lease, joins, rounds, rnd):
+    scheme, kps, mem = _fresh(m=m, n=6, t_lease=t_lease)
+    joiners = [scheme.keygen(f"j{i:02d}") for i in range(len(joins))]
+    for r in range(1, rounds + 1):
+        mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
+        seated = [kp for kp in kps + joiners if kp.pk in mem.records]
+        for _ in range(3 * len(seated)):
+            kp, other = rnd.choice(seated), rnd.choice(seated)
+            probe = max(1, r + rnd.randint(-t_lease, t_lease))
+            t_shuffle = mem.records[other.pk].t_shuffle
+            if t_shuffle is None:
+                continue
+            seed = mem._seed_history.get(mem.epoch_start(t_shuffle, probe))
+            if seed is None:
+                continue
+            sigma = scheme.sign(other.sk, seed)
+            shard = shard_index(unit_hash(sigma), m)
+            if rnd.random() < 0.2:
+                shard = rnd.randint(1, m)
+            expect = _uncached_verify(mem, kp.pk, sigma, shard, probe)
+            assert mem.verify_member(kp.pk, sigma, shard, probe) == expect
+        _advance(mem, 1)
+        assert set(mem._verified) <= set(mem._seed_history)
 
 
 # -- registration -------------------------------------------------------------

@@ -231,6 +231,35 @@ def test_competing_pool_resolves_to_lexicographic_winner():
     assert verify(block, sim.local_ctx[shard - 1])
 
 
+# -- self-containment sampler -------------------------------------------------
+
+
+def _own_rescan(ctx):
+    return [tx for e in ctx.entries if not e.remote for tx in e.block]
+
+
+def test_own_tx_index_matches_rescan():
+    sim = Simulation(_cfg(n=60, m=3, rounds=40, seed=4, sync="lazy", t_lease=5))
+    for own, ctx in zip(sim._own_txs, sim.local_ctx):
+        assert own == _own_rescan(ctx)
+    sample = sim._sample_candidate
+    candidates = []
+
+    def recording(shard, r):
+        candidates.append(sample(shard, r))
+        return candidates[-1]
+
+    sim._sample_candidate = recording
+    res = sim.run()
+    assert not res.halted, res.breaches
+    for own, ctx in zip(sim._own_txs, sim.local_ctx):
+        assert own == _own_rescan(ctx)
+    replays = [
+        b for b in candidates if b is not None and not next(iter(b)).tx_id.startswith("cand")
+    ]
+    assert replays
+
+
 # -- negative modes and the Byzantine path ------------------------------------
 
 
