@@ -20,7 +20,6 @@ from .ledger import (
     LedgerError,
     Transaction,
     TxOutput,
-    balance,
     build_transaction,
     greedy_admissible_block,
     is_competing,

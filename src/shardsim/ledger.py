@@ -9,6 +9,10 @@ independent of any iteration order and closed under taking subsets.
 Genesis grants are ordinary transactions sent by a distinguished mint key.
 The mint is exempt from the budget check (its balance is never tracked),
 which keeps the genesis block admissible against the empty context.
+
+Balances and per-block spends are keyed by key id, and keys are compared by
+id, so no per-transaction step hashes or compares a ``PublicKey`` object. A
+transaction's total is fixed at construction and it hashes by ``tx_id``.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ def _length_prefixed(chunk: bytes) -> bytes:
     return len(chunk).to_bytes(4, "big") + chunk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     to: PublicKey
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """Single-sender, multi-output payment.
 
@@ -41,23 +45,31 @@ class Transaction:
     tx_id, sender id, then outputs sorted by recipient id, each field
     length-prefixed (4-byte big-endian), amounts as 8-byte big-endian
     unsigned integers.
+
+    ``total_amount`` is computed once, at construction. Equality compares
+    every field but the hash covers ``tx_id`` alone, which equal
+    transactions share; two transactions with one id and different fields
+    collide in a set and stay apart.
     """
 
     tx_id: str
     sender: PublicKey
     outputs: tuple[TxOutput, ...]
     sig: bytes
+    total_amount: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.outputs:
             raise LedgerError(f"transaction {self.tx_id!r} has no outputs")
+        total = 0
         for out in self.outputs:
             if out.amount < 0:
                 raise LedgerError(f"transaction {self.tx_id!r} has a negative amount")
+            total += out.amount
+        object.__setattr__(self, "total_amount", total)
 
-    @property
-    def total_amount(self) -> int:
-        return sum(out.amount for out in self.outputs)
+    def __hash__(self) -> int:
+        return hash(self.tx_id)
 
     def signing_bytes(self) -> bytes:
         return canonical_tx_bytes(self.tx_id, self.sender, self.outputs)
@@ -152,12 +164,12 @@ class ContextEntry:
 class LedgerContext:
     """Append-only ordered block sequence plus derived state.
 
-    Derived balances and the seen tx_id set are updated incrementally on
-    append and always equal a from-scratch replay of the entries. Local
-    shard contexts append two entries per round (own sub-block, then the
-    remote support for that round, tagged ``remote=True``); global
-    contexts append one block per round. A context is single-writer;
-    snapshots for sharing are taken with ``clone``.
+    Derived balances (keyed by key id) and the seen tx_id set are updated
+    incrementally on append and always equal a from-scratch replay of the
+    entries. Local shard contexts append two entries per round (own
+    sub-block, then the remote support for that round, tagged
+    ``remote=True``); global contexts append one block per round. A context
+    is single-writer; snapshots for sharing are taken with ``clone``.
     """
 
     def __init__(
@@ -167,8 +179,9 @@ class LedgerContext:
     ) -> None:
         self.scheme = scheme
         self.mint = mint
+        self._mint_id = mint.id if mint is not None else None
         self.entries: list[ContextEntry] = []
-        self._balances: dict[PublicKey, int] = {}
+        self._balances: dict[str, int] = {}
         self._seen: set[str] = set()
 
     def __len__(self) -> int:
@@ -179,7 +192,8 @@ class LedgerContext:
         return self._seen
 
     @property
-    def balances(self) -> dict[PublicKey, int]:
+    def balances(self) -> dict[str, int]:
+        """Balance per key id; the mint has none."""
         return self._balances
 
     def append(self, block: Block, round: Optional[int] = None, remote: bool = False) -> None:
@@ -190,15 +204,18 @@ class LedgerContext:
             self._apply(tx)
 
     def _apply(self, tx: Transaction) -> None:
+        balances, mint_id = self._balances, self._mint_id
         self._seen.add(tx.tx_id)
-        if tx.sender != self.mint:
-            self._balances[tx.sender] = self._balances.get(tx.sender, 0) - tx.total_amount
+        sender = tx.sender.id
+        if sender != mint_id:
+            balances[sender] = balances.get(sender, 0) - tx.total_amount
         for out in tx.outputs:
-            if out.to != self.mint:
-                self._balances[out.to] = self._balances.get(out.to, 0) + out.amount
+            to = out.to.id
+            if to != mint_id:
+                balances[to] = balances.get(to, 0) + out.amount
 
     def balance(self, pk: PublicKey) -> int:
-        return self._balances.get(pk, 0)
+        return self._balances.get(pk.id, 0)
 
     def iter_txs(self) -> Iterator[Transaction]:
         for entry in self.entries:
@@ -207,7 +224,7 @@ class LedgerContext:
     def tx_count(self, min_round: int = 0) -> int:
         return sum(len(e.block) for e in self.entries if e.round >= min_round)
 
-    def replayed_balances(self) -> dict[PublicKey, int]:
+    def replayed_balances(self) -> dict[str, int]:
         """Recompute balances from scratch; must equal the incremental map."""
         fresh = LedgerContext(self.scheme, self.mint)
         for entry in self.entries:
@@ -249,21 +266,18 @@ def verify(block: Block, ctx: LedgerContext) -> bool:
     mint key is exempt from the budget check. Malformed input yields False,
     never an exception.
     """
-    spend: dict[PublicKey, int] = {}
+    seen, scheme, mint_id = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id
+    spend: dict[str, int] = {}
     for tx in block:
-        if tx.tx_id in ctx.seen_tx_ids:
+        if tx.tx_id in seen:
             return False
-        if ctx.scheme is not None and not ctx.scheme.verify(
-            tx.sender, tx.signing_bytes(), tx.sig
-        ):
+        if scheme is not None and not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
             return False
-        if tx.sender != ctx.mint:
-            spend[tx.sender] = spend.get(tx.sender, 0) + tx.total_amount
-    return all(amount <= ctx.balance(pk) for pk, amount in spend.items())
-
-
-def balance(pk: PublicKey, ctx: LedgerContext) -> int:
-    return ctx.balance(pk)
+        sender = tx.sender.id
+        if sender != mint_id:
+            spend[sender] = spend.get(sender, 0) + tx.total_amount
+    balances = ctx.balances
+    return all(amount <= balances.get(sid, 0) for sid, amount in spend.items())
 
 
 def support(interval, ctx: LedgerContext) -> set[Transaction]:
@@ -313,21 +327,21 @@ def greedy_admissible_block(pool: Iterable[Transaction], ctx: LedgerContext) -> 
     candidate, but incremental. This is the idealized honest consensus
     output, shared by the sharded run and the unsharded oracle.
     """
-    spend: dict[PublicKey, int] = {}
+    seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id, ctx.balances
+    spend: dict[str, int] = {}
     chosen: list[Transaction] = []
     chosen_ids: set[str] = set()
     for tx in sorted(pool, key=lambda t: t.tx_id):
-        if tx.tx_id in ctx.seen_tx_ids or tx.tx_id in chosen_ids:
+        if tx.tx_id in seen or tx.tx_id in chosen_ids:
             continue
-        if ctx.scheme is not None and not ctx.scheme.verify(
-            tx.sender, tx.signing_bytes(), tx.sig
-        ):
+        if scheme is not None and not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
             continue
-        if tx.sender != ctx.mint:
-            already = spend.get(tx.sender, 0)
-            if already + tx.total_amount > ctx.balance(tx.sender):
+        sender = tx.sender.id
+        if sender != mint_id:
+            after = spend.get(sender, 0) + tx.total_amount
+            if after > balances.get(sender, 0):
                 continue
-            spend[tx.sender] = already + tx.total_amount
+            spend[sender] = after
         chosen.append(tx)
         chosen_ids.add(tx.tx_id)
     return Block.of(chosen)

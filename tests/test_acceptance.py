@@ -10,6 +10,7 @@ import time
 from decimal import Decimal, getcontext
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from conftest import make_clients, record_acceptance
@@ -31,6 +32,8 @@ from shardsim.simulation import (
     run_unsharded_oracle,
 )
 from vectorlib import DATA_DIR, load_vector_file, replay_verifier
+
+pytestmark = pytest.mark.acceptance
 
 
 def criterion(index: int, name: str):

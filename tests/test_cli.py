@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import os
 import subprocess
 import sys
 
@@ -454,3 +455,35 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "completed 2 rounds" in proc.stdout
     assert (out / "rounds.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        TIGHT_INI.replace("[run]\n", "[run]\nm = 4\n").replace("rounds = 120", "rounds = 15"),
+        TIGHT_INI.replace("[run]\n", "[run]\nm = 3\nsync = lazy\nt_lease = 3\n").replace(
+            "rounds = 120", "rounds = 15"
+        ),
+    ],
+    ids=["eager", "lazy"],
+)
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, text):
+    # Sets of transactions iterate in hash order, and str hashes follow
+    # PYTHONHASHSEED; no output may depend on that order.
+    cfg = _write(tmp_path, text)
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"seed{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "shardsim.cli", "simulate", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outs.append(out)
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert "rounds.csv" in names
+    assert sorted(path.name for path in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name

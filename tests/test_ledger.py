@@ -5,6 +5,7 @@ independent reformulation written here in the test (filter-then-replay
 balances, grow-and-verify greedy selection, restricted-context support).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from shardsim.ledger import (
     LedgerError,
     Transaction,
     TxOutput,
-    balance,
     build_transaction,
     canonical_tx_bytes,
     greedy_admissible_block,
@@ -97,6 +97,37 @@ def test_canonical_bytes_sort_outputs(scheme):
     assert one == two
 
 
+# -- hashing, totals and key ids ----------------------------------------------
+
+
+def test_equal_transactions_hash_alike(scheme):
+    kp = scheme.keygen("s")
+    to = scheme.keygen("r").pk
+    tx = build_transaction(scheme, kp, [(to, 5)], "t1")
+    copy = Transaction(tx.tx_id, PublicKey.from_id(kp.pk.id), tx.outputs, tx.sig)
+    assert copy == tx and copy is not tx
+    assert hash(copy) == hash(tx)
+    assert len({tx, copy}) == 1
+
+
+def test_total_amount_is_fixed_at_construction(scheme):
+    kp = scheme.keygen("s")
+    a = scheme.keygen("a").pk
+    b = scheme.keygen("b").pk
+    tx = build_transaction(scheme, kp, [(a, 3), (b, 4), (a, 0)], "t1")
+    assert tx.total_amount == sum(out.amount for out in tx.outputs) == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.total_amount = 1
+    assert tx.total_amount == 7
+
+
+def test_balance_reads_the_key_id(scheme, mint):
+    kp = scheme.keygen("s")
+    ctx = funded_context(scheme, mint, [kp], 100)
+    assert ctx.balance(PublicKey.from_id(kp.pk.id)) == ctx.balance(kp.pk) == 100
+    assert ctx.balance(mint.pk) == 0
+
+
 # -- verify examples ----------------------------------------------------------
 
 
@@ -156,9 +187,15 @@ def test_bad_signature_rejected(scheme, mint):
     good = build_transaction(scheme, kp, [(to, 1)], "t1")
     forged = Transaction("t1", kp.pk, good.outputs, b"\x00" * 32)
     assert not verify(Block.of([forged]), ctx)
-    # Signature over different outputs does not transfer.
+    # Signature over different outputs does not transfer. The moved copy
+    # shares the good one's tx_id and so its hash; equality still tells them
+    # apart, and one block cannot hold both.
     moved = Transaction("t1", kp.pk, (TxOutput(to, 99),), good.sig)
+    assert hash(moved) == hash(good) and moved != good
+    assert verify(Block.of([good]), ctx)
     assert not verify(Block.of([moved]), ctx)
+    with pytest.raises(LedgerError):
+        Block.of([good, moved])
 
 
 def test_verify_order_independent(scheme, mint):
@@ -179,7 +216,7 @@ def test_verify_order_independent(scheme, mint):
 def test_balance_after_genesis(scheme, mint):
     kp = scheme.keygen("s")
     ctx = funded_context(scheme, mint, [kp], 100)
-    assert balance(kp.pk, ctx) == 100
+    assert ctx.balance(kp.pk) == 100
 
 
 def test_balance_send_and_receive(scheme, mint):
@@ -188,13 +225,13 @@ def test_balance_send_and_receive(scheme, mint):
     ctx = funded_context(scheme, mint, [kp, other], 100)
     ctx.append(Block.of([build_transaction(scheme, kp, [(other.pk, 30)], "t1")]))
     ctx.append(Block.of([build_transaction(scheme, other, [(kp.pk, 10)], "t2")]))
-    assert balance(kp.pk, ctx) == 80
-    assert balance(other.pk, ctx) == 120
+    assert ctx.balance(kp.pk) == 80
+    assert ctx.balance(other.pk) == 120
 
 
 def test_unknown_key_balance_zero(scheme, mint):
     ctx = LedgerContext(scheme, mint.pk)
-    assert balance(PublicKey.from_id("nobody"), ctx) == 0
+    assert ctx.balance(PublicKey.from_id("nobody")) == 0
 
 
 def _random_history(scheme, mint, seed, rounds=8):
@@ -233,9 +270,9 @@ def test_balance_equals_filtered_history_replay(scheme, mint):
             for out in tx.outputs:
                 if out.to == kp.pk:
                     replayed += out.amount
-        assert balance(kp.pk, ctx) == replayed
+        assert ctx.balance(kp.pk) == replayed
         # Same thing through the restricted-context API.
-        assert balance(kp.pk, ctx.restricted(OnlyKey(kp.pk))) == replayed
+        assert ctx.restricted(OnlyKey(kp.pk)).balance(kp.pk) == replayed
 
 
 def test_replay_consistency(scheme, mint):
@@ -246,7 +283,7 @@ def test_replay_consistency(scheme, mint):
 def test_all_balances_stay_nonnegative(scheme, mint):
     ctx, clients = _random_history(scheme, mint, seed=11)
     for kp in clients:
-        assert balance(kp.pk, ctx) >= 0
+        assert ctx.balance(kp.pk) >= 0
 
 
 # -- subset admissibility, prefix residue -------------------------------------

@@ -2,9 +2,12 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from shardsim.keys import PublicKey
-from shardsim.ledger import Block, GlobalBlock, Transaction, TxOutput
+from shardsim.ledger import Block, GlobalBlock, Transaction, TxOutput, build_transaction, verify
 from shardsim.partition import PartitionSpec
+from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
 
 
@@ -95,3 +98,53 @@ def test_lazy_subset_of_eager():
             eager = eager_collect_support(gb, _interval(gb, shard)).txs
             assert lazy <= eager
 
+
+# -- lazy support suffices (property) -----------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(2, 24),
+    t_lease=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    rounds=st.integers(0, 6),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_lazy_support_suffices_for_local_verify(m, n, t_lease, seed, rounds, rnd):
+    # After an honest lazy run, every block drawn from a shard's own senders
+    # (fresh payments, some with several outputs, and replays of recorded
+    # transactions) verifies alike against the shard's local context, the
+    # global context, and the global context restricted to the shard.
+    cfg = RunConfig(
+        n=n, m=m, rounds=rounds, seed=seed, sync="lazy", t_lease=t_lease,
+        tx_rate=2 * n, initial_balance=60, max_amount=50, self_containment_samples=0,
+    )
+    sim = Simulation(cfg)
+    res = sim.run()
+    assert not res.halted, res.breaches
+    ctx = sim.global_ctx
+    for shard, interval in enumerate(sim.intervals, start=1):
+        senders = [kp for kp in sim.clients if interval.contains(kp.pk)]
+        if not senders:
+            continue
+        local = sim.local_ctx[shard - 1]
+        restricted = ctx.restricted(interval)
+        recorded = [tx for tx in ctx.iter_txs() if interval.contains(tx.sender)]
+        for k in range(6):
+            txs = []
+            for j in range(rnd.randint(1, 3)):
+                if recorded and rnd.random() < 0.2:
+                    txs.append(rnd.choice(recorded))
+                    continue
+                kp = rnd.choice(senders)
+                budget = 2 * ctx.balance(kp.pk) + 1
+                outputs = [
+                    (rnd.choice(sim.clients).pk, rnd.randint(0, budget))
+                    for _ in range(rnd.randint(1, 2))
+                ]
+                txs.append(build_transaction(sim.scheme, kp, outputs, f"q{shard}x{k}y{j}"))
+            block = Block.of(txs)
+            expect = verify(block, ctx)
+            assert verify(block, local) == expect
+            assert verify(block, restricted) == expect
