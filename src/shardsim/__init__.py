@@ -11,7 +11,7 @@ from .analysis import (
     million_year_bound,
     wilson_interval,
 )
-from .crypto import oracle_hash, shard_index, unit_hash
+from .crypto import oracle_hash, unit_hash
 from .keys import KeyPair, PublicKey, SignatureScheme
 from .ledger import (
     Block,
@@ -35,7 +35,7 @@ from .membership import (
     SeedState,
     evolve_shard_seed,
 )
-from .partition import KeyInterval, PartitionSpec
+from .partition import KeyInterval, PartitionSpec, shard_index
 from .simulation import (
     ConfigError,
     MonitorBreach,

@@ -1,21 +1,19 @@
 """Hash primitives shared by every other module.
 
 SHA-256 plays the random oracle H. Protocol-level derivations (seed
-evolution, shuffle slots, hash-to-unit-interval) concatenate their inputs
-raw; artifact-internal derivations (secret keys, key positions) prepend a
+evolution, shuffle slots, hash points) concatenate their inputs raw;
+artifact-internal derivations (secret keys, key positions) prepend a
 domain tag so the two families can never collide.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 HASH_BYTES = 32
 
-# Width of the prefix that hash-to-unit-interval reads.
+# Width of the digest prefix that ``unit_hash`` reads.
 UNIT_BITS = 64
-_UNIT_DENOM = 1 << UNIT_BITS
 
 
 def oracle_hash(*parts: bytes) -> bytes:
@@ -31,25 +29,15 @@ def be8(value: int) -> bytes:
     return value.to_bytes(8, "big")
 
 
-def unit_fraction(digest: bytes) -> float:
-    """Map a digest to [0, 1): its first 64 bits as an unsigned integer over 2**64."""
-    return int.from_bytes(digest[:8], "big") / _UNIT_DENOM
+def unit_hash(data: bytes) -> int:
+    """Hash ``data`` to a point in [0, 2**64): the digest's first 64 bits.
 
-
-def unit_hash(data: bytes) -> float:
-    """Hash ``data`` to the unit interval [0, 1)."""
-    return unit_fraction(oracle_hash(data))
+    The point stands for the fraction point / 2**64 of the unit interval;
+    ``partition.shard_index`` maps it to a shard without leaving integers.
+    """
+    return int.from_bytes(oracle_hash(data)[:8], "big")
 
 
 def hash_mod(data: bytes, modulus: int) -> int:
     """Full digest taken as an unsigned integer, reduced mod ``modulus``."""
     return int.from_bytes(oracle_hash(data), "big") % modulus
-
-
-def shard_index(u: float, m: int) -> int:
-    """Shard owning unit-interval point ``u`` out of ``m`` equal slices.
-
-    Shard i owns ((i-1)/m, i/m], so this is ceil(u * m) with 0 mapped to
-    shard 1. Values at exactly i/m belong to shard i.
-    """
-    return min(m, max(1, math.ceil(u * m)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import _UNIT_DENOM, oracle_hash
+from .crypto import oracle_hash
 
 _SK_TAG = b"shardsim/sk:"
 _SIG_TAG = b"shardsim/sig:"
@@ -28,16 +28,17 @@ class KeyError_(Exception):
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Opaque identity plus its point on the unit key interval.
+    """Opaque identity plus its point on the key line.
 
-    ``position`` lies in (0, 1] and is a pure function of ``id``: the
-    64-bit unit-interval hash value u of the id becomes (u + 1) / 2**64.
-    The +1 shift moves the hash range [0, 1) onto the half-open interval
-    (0, 1] that key partitioning slices up.
+    ``position`` is an integer in [1, 2**64] and a pure function of ``id``:
+    the first 64 bits u of the id's position hash become u + 1. Position P
+    stands for the point P / 2**64 of the unit interval; the +1 shift moves
+    the hash range [0, 2**64) onto (0, 2**64], the integer image of the
+    half-open interval (0, 1] that key partitioning slices up.
     """
 
     id: str
-    position: float = field(compare=False)
+    position: int = field(compare=False)
 
     @classmethod
     def from_id(cls, key_id: str) -> "PublicKey":
@@ -50,10 +51,9 @@ class KeyPair:
     sk: bytes
 
 
-def position_of(key_id: str) -> float:
+def position_of(key_id: str) -> int:
     digest = oracle_hash(_POSITION_TAG, key_id.encode())
-    u = int.from_bytes(digest[:8], "big")
-    return (u + 1) / _UNIT_DENOM
+    return int.from_bytes(digest[:8], "big") + 1
 
 
 def sign_bytes(sk: bytes, message: bytes) -> bytes:
@@ -71,7 +71,7 @@ class SignatureScheme:
 
     def __init__(self) -> None:
         self._secrets: dict[str, bytes] = {}
-        self._by_position: dict[float, str] = {}
+        self._by_position: dict[int, str] = {}
 
     def keygen(self, key_id: str) -> KeyPair:
         if key_id in self._secrets:

@@ -1,8 +1,9 @@
 """Seed-driven shard membership with per-node staggered leases.
 
 Every node derives its shard by signing a public epoch seed and hashing
-the signature onto the unit interval; the signature scheme's uniqueness
-makes the draw unforgeable yet verifiable by anyone holding the seed.
+the signature to a 64-bit point that the shard map reads; the signature
+scheme's uniqueness makes the draw unforgeable yet verifiable by anyone
+holding the seed.
 Seeds evolve once per round per shard, folding in a leader signature
 whenever the shard produced a non-empty sub-block.
 
@@ -32,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .crypto import be8, hash_mod, oracle_hash, shard_index, unit_hash
+from .crypto import be8, hash_mod, oracle_hash, unit_hash
 from .keys import KeyPair, PublicKey, SignatureScheme, sign_bytes
+from .partition import shard_index
 
 
 class MembershipError(Exception):
@@ -100,7 +102,7 @@ def shuffle_slot(pk: PublicKey, seed: bytes, t_lease: int) -> int:
 
 
 class Membership:
-    """Registry, seed history, and current assignment for one simulation.
+    """Registry, seed history, and current certificates for one simulation.
 
     Single volume of trusted public state: node records, the last t_lease
     global seeds, and the certificates currently in force.
@@ -113,7 +115,6 @@ class Membership:
         self.t_lease = t_lease
         self.scheme = scheme
         self.records: dict[PublicKey, NodeRecord] = {}
-        self.assignment: dict[PublicKey, int] = {}
         self.certificates: dict[PublicKey, MembershipCertificate] = {}
         self.seeds: Optional[SeedState] = None
         self._seed_history: dict[int, bytes] = {}
@@ -130,7 +131,7 @@ class Membership:
         t_lease: int,
         scheme: SignatureScheme,
     ) -> "Membership":
-        """Round-1 state: genesis seeds, genesis records, full initial assignment."""
+        """Round-1 state: genesis seeds, genesis records, every initial certificate."""
         mem = cls(m, t_lease, scheme)
         mem.seeds = SeedState.genesis(genesis_seed, m)
         mem._seed_history[1] = mem.seeds.global_seed
@@ -141,9 +142,7 @@ class Membership:
                 pk, 0, shuffle_slot(pk, mem.seeds.global_seed, t_lease)
             )
         for pk in mem.records:
-            cert = mem.get_membership(mem.scheme.keypair(pk.id), 1)
-            mem.assignment[pk] = cert.shard
-            mem.certificates[pk] = cert
+            mem.certificates[pk] = mem.get_membership(mem.scheme.keypair(pk.id), 1)
         return mem
 
     @property
@@ -257,21 +256,19 @@ class Membership:
                 continue
             if not self._record_eligible(record, r + 1):
                 continue
-            cert = self.get_membership(self.scheme.keypair(pk.id), r + 1)
-            self.assignment[pk] = cert.shard
-            self.certificates[pk] = cert
+            self.certificates[pk] = self.get_membership(self.scheme.keypair(pk.id), r + 1)
             redrawn.add(pk)
         return self.seeds, redrawn
 
     # -- views ---------------------------------------------------------------
 
     def members_of(self, shard: int) -> set[PublicKey]:
-        return {pk for pk, s in self.assignment.items() if s == shard}
+        return {pk for pk, cert in self.certificates.items() if cert.shard == shard}
 
     def shard_counts(self) -> list[int]:
         counts = [0] * self.m
-        for shard in self.assignment.values():
-            counts[shard - 1] += 1
+        for cert in self.certificates.values():
+            counts[cert.shard - 1] += 1
         return counts
 
 

@@ -2,6 +2,12 @@
 
 Routing is by sender position only, so any two transactions that can ever
 compete (they must share a sender) land in the same shard.
+
+Positions and hash points are integers on the key line, standing for
+fractions of 2**64. Shard i of m owns ((i-1)/m, i/m] of the unit interval,
+and ``shard_index`` and ``PartitionSpec.interval`` are both written in the
+same exact integer arithmetic, so a point lies in ``interval(i)`` exactly
+when ``shard_index`` maps it to i.
 """
 
 from __future__ import annotations
@@ -9,17 +15,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .crypto import shard_index
+from .crypto import UNIT_BITS
 from .keys import PublicKey
 from .ledger import Transaction
 
 
+def shard_index(x: int, m: int) -> int:
+    """Shard owning key-line point ``x`` out of ``m`` equal slices.
+
+    This is ceil(x * m / 2**64) by multiply-shift range reduction (Lemire,
+    ACM TOMACS 2019): for x >= 1 it equals ((x*m - 1) >> 64) + 1, so a point
+    at exactly the boundary i * 2**64 / m belongs to shard i. Positions lie
+    in [1, 2**64]; only a signature hash point can be 0, and it maps to
+    shard 1.
+    """
+    if x == 0:
+        return 1
+    return ((x * m - 1) >> UNIT_BITS) + 1
+
+
 @dataclass(frozen=True)
 class KeyInterval:
-    """Half-open slice (lo, hi] of the unit key interval."""
+    """Half-open slice (lo, hi] of the key line; bounds are integers."""
 
-    lo: float
-    hi: float
+    lo: int
+    hi: int
 
     def contains(self, pk: PublicKey) -> bool:
         return self.lo < pk.position <= self.hi
@@ -27,7 +47,7 @@ class KeyInterval:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Uniform split of (0, 1] into m intervals; shard i owns ((i-1)/m, i/m]."""
+    """Uniform split of the key line into m intervals; shard i owns ((i-1)/m, i/m]."""
 
     m: int
 
@@ -36,15 +56,13 @@ class PartitionSpec:
             raise ValueError("need at least one shard")
 
     def interval(self, i: int) -> KeyInterval:
+        """Shard i's slice: integer position P is in it iff shard_index(P, m) == i."""
         if not 1 <= i <= self.m:
             raise ValueError(f"shard index {i} outside 1..{self.m}")
-        return KeyInterval((i - 1) / self.m, i / self.m)
-
-    def shard_of_position(self, position: float) -> int:
-        return shard_index(position, self.m)
+        return KeyInterval(((i - 1) << UNIT_BITS) // self.m, (i << UNIT_BITS) // self.m)
 
     def which_part(self, tx: Transaction) -> int:
-        return self.shard_of_position(tx.sender.position)
+        return shard_index(tx.sender.position, self.m)
 
     def part(
         self,

@@ -39,7 +39,7 @@ from .ledger import (
     verify,
 )
 from .membership import Membership, MembershipCertificate, evolve_shard_seed
-from .partition import PartitionSpec
+from .partition import PartitionSpec, shard_index
 from .sync import eager_collect_support, lazy_collect_support
 from .workload import WorkloadParams, genesis_block, round_transactions
 
@@ -121,16 +121,6 @@ class RunConfig:
             raise ConfigError("self_containment_samples must be non-negative")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ConfigError(f"unknown negative mode {self.negative_mode!r}")
-
-
-@dataclass(frozen=True)
-class Participation:
-    """One member's signed claim to a shard seat for a round."""
-
-    pk: PublicKey
-    sigma: bytes
-    shard: int
-    round: int
 
 
 @dataclass(frozen=True)
@@ -227,7 +217,7 @@ class Simulation:
         if self.cfg.negative_mode == "conflict-partition":
             # Deliberately broken: routes by first recipient, so two
             # transactions from one sender can land in different shards.
-            return lambda tx: self.spec.shard_of_position(tx.outputs[0].to.position)
+            return lambda tx: shard_index(tx.outputs[0].to.position, self.cfg.m)
         return self.spec.which_part
 
     def _collect_support(self, gb: GlobalBlock, shard: int, r: int) -> Block:
@@ -262,17 +252,15 @@ class Simulation:
 
     # -- per-round machinery -------------------------------------------------
 
-    def _participations(self, shard: int, r: int) -> list[Participation]:
-        out = []
-        for pk in sorted(self.membership.members_of(shard), key=lambda k: k.id):
-            cert = self.membership.certificates[pk]
-            out.append(Participation(pk, cert.sigma, cert.shard, r))
-        return out
+    def _participations(self, shard: int) -> list[MembershipCertificate]:
+        """Certificates the shard's members present, in key-id order."""
+        members = sorted(self.membership.members_of(shard), key=lambda k: k.id)
+        return [self.membership.certificates[pk] for pk in members]
 
     def decide_sub_block(
         self,
         shard: int,
-        participations: list[Participation],
+        participations: list[MembershipCertificate],
         pool: set[Transaction],
         r: int,
     ) -> tuple[Block, list[PublicKey], int, Optional[MonitorBreach]]:
@@ -398,7 +386,7 @@ class Simulation:
         sub_blocks: list[Block] = []
         certified_by_shard: list[list[PublicKey]] = []
         for shard in range(1, cfg.m + 1):
-            participations = self._participations(shard, r)
+            participations = self._participations(shard)
             block, certified, byz, breach = self.decide_sub_block(
                 shard, participations, parts[shard - 1], r
             )

@@ -4,15 +4,7 @@ import hashlib
 
 import scipy.stats
 
-from shardsim.crypto import (
-    UNIT_BITS,
-    be8,
-    hash_mod,
-    oracle_hash,
-    shard_index,
-    unit_fraction,
-    unit_hash,
-)
+from shardsim.crypto import UNIT_BITS, be8, hash_mod, oracle_hash, unit_hash
 
 DENOM = 1 << UNIT_BITS
 
@@ -28,19 +20,12 @@ def test_oracle_hash_is_sha256_of_concatenation():
     assert oracle_hash() == hashlib.sha256(b"").digest()
 
 
-def test_unit_fraction_boundary_digests():
-    assert unit_fraction(b"\x00" * 32) == 0.0
-    assert unit_fraction(b"\xff" * 32) == (2**64 - 1) / DENOM
-    # Only the first 64 bits matter.
-    assert unit_fraction(b"\x00" * 8 + b"\xff" * 24) == 0.0
-
-
 def test_unit_hash_recomputed_independently():
     for data in (b"", b"abc", be8(7), b"\x00" * 40):
         digest = hashlib.sha256(data).digest()
-        expected = int.from_bytes(digest[:8], "big") / DENOM
+        expected = int.from_bytes(digest[:8], "big")
         assert unit_hash(data) == expected
-        assert 0.0 <= unit_hash(data) < 1.0
+        assert 0 <= unit_hash(data) < DENOM
 
 
 def test_hash_mod_recomputed_independently():
@@ -50,20 +35,9 @@ def test_hash_mod_recomputed_independently():
     assert hash_mod(b"anything", 1) == 0
 
 
-def test_shard_index_boundaries():
-    assert shard_index(0.0, 4) == 1
-    assert shard_index(1e-12, 4) == 1
-    assert shard_index(0.25, 4) == 1
-    assert shard_index(0.5, 4) == 2
-    assert shard_index(0.50001, 4) == 3
-    assert shard_index(1.0, 4) == 4
-    assert shard_index(0.0, 1) == 1
-    assert shard_index(1.0, 1) == 1
-
-
 def test_unit_hash_uniformity_ks():
     # A million deterministic inputs; KS against Uniform[0,1) must not
     # reject at the 1% level.
-    values = [unit_hash(be8(i)) for i in range(1_000_000)]
+    values = [unit_hash(be8(i)) / DENOM for i in range(1_000_000)]
     stat, pvalue = scipy.stats.kstest(values, "uniform")
     assert pvalue > 0.01, f"KS statistic {stat} rejects uniformity"

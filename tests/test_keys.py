@@ -7,9 +7,11 @@ from shardsim.keys import KeyError_, PublicKey, SignatureScheme, position_of, si
 
 
 def test_position_in_half_open_unit_interval():
+    # Integer positions in [1, 2**64] are the image of (0, 1].
     for i in range(2000):
         p = position_of(f"node{i}")
-        assert 0.0 < p <= 1.0
+        assert isinstance(p, int)
+        assert 1 <= p <= 1 << 64
 
 
 def test_position_recomputable_from_id():
@@ -19,7 +21,7 @@ def test_position_recomputable_from_id():
 
 
 def test_equality_and_hash_ignore_position():
-    a = PublicKey("alice", 0.123)
+    a = PublicKey("alice", 123)
     b = PublicKey.from_id("alice")
     assert a == b
     assert hash(a) == hash(b)
@@ -71,8 +73,27 @@ def test_two_schemes_agree():
 
 
 def test_position_collision_rejected(monkeypatch):
-    monkeypatch.setattr(keys_mod, "position_of", lambda key_id: 0.5)
+    monkeypatch.setattr(keys_mod, "position_of", lambda key_id: 1 << 63)
     scheme = SignatureScheme()
     scheme.keygen("first")
     with pytest.raises(KeyError_):
         scheme.keygen("second")
+
+
+def test_adjacent_positions_both_register(monkeypatch):
+    # Positions 2**63 + 1 and 2**63 + 2 are distinct keys, though both
+    # round to the same float 0.5 when divided by 2**64.
+    real_hash = keys_mod.oracle_hash
+    u = {"a": 1 << 63, "b": (1 << 63) + 1}
+
+    def position_digest(*parts):
+        if parts[0] == keys_mod._POSITION_TAG:
+            return u[parts[1].decode()].to_bytes(8, "big") + bytes(24)
+        return real_hash(*parts)
+
+    monkeypatch.setattr(keys_mod, "oracle_hash", position_digest)
+    scheme = SignatureScheme()
+    a = scheme.keygen("a")
+    b = scheme.keygen("b")
+    assert (a.pk.position, b.pk.position) == ((1 << 63) + 1, (1 << 63) + 2)
+    assert a.sk == real_hash(keys_mod._SK_TAG, b"a")

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from shardsim.crypto import shard_index, unit_hash
+from shardsim.crypto import UNIT_BITS, unit_hash
 from shardsim.keys import PublicKey, SignatureScheme
 from shardsim.membership import (
     EligibilityError,
@@ -17,6 +17,7 @@ from shardsim.membership import (
     golden_vector_text,
     shuffle_slot,
 )
+from shardsim.partition import shard_index
 
 GENESIS = bytes.fromhex("aa" * 32)
 
@@ -82,7 +83,9 @@ def test_init_single_shard_puts_everyone_in_shard_one():
 def test_init_deterministic_across_schemes():
     _, _, a = _fresh()
     _, _, b = _fresh()
-    assert a.assignment == b.assignment
+    assert {pk: c.shard for pk, c in a.certificates.items()} == {
+        pk: c.shard for pk, c in b.certificates.items()
+    }
     assert {pk: c.sigma for pk, c in a.certificates.items()} == {
         pk: c.sigma for pk, c in b.certificates.items()
     }
@@ -160,8 +163,6 @@ def test_unregistered_key_rejected():
     scheme, kps, mem = _fresh()
     outsider = scheme.keygen("outsider")
     sigma = scheme.sign(outsider.sk, mem.seeds.global_seed)
-    from shardsim.crypto import shard_index
-
     shard = shard_index(unit_hash(sigma), mem.m)
     assert not mem.verify_member(outsider.pk, sigma, shard, 1)
 
@@ -172,8 +173,6 @@ def test_wrong_epoch_seed_rejected():
     kp = kps[0]
     future_seed = mem.seeds.global_seed
     sigma = scheme.sign(kp.sk, future_seed)
-    from shardsim.crypto import shard_index
-
     shard = shard_index(unit_hash(sigma), mem.m)
     # A signature over round 2's seed does not certify an epoch anchored
     # at round 1.
@@ -469,9 +468,9 @@ def test_assignment_uniform_chi_square():
 
 def test_consecutive_epoch_draws_uncorrelated():
     _, kps, mem = _fresh(m=4, n=4000, t_lease=1, prefix="c")
-    first = [mem.assignment[kp.pk] for kp in kps]
+    first = [mem.certificates[kp.pk].shard for kp in kps]
     _advance(mem, 1)
-    second = [mem.assignment[kp.pk] for kp in kps]
+    second = [mem.certificates[kp.pk].shard for kp in kps]
     rho = scipy.stats.pearsonr(first, second).statistic
     assert abs(rho) < 3 / math.sqrt(len(kps)), rho
 
@@ -506,7 +505,7 @@ def test_seed_sequence_uniform_ks():
     values = []
     for r in range(10_000):
         seed = evolve_shard_seed(seed, r, sub_block_empty=True)
-        values.append(unit_hash(seed))
+        values.append(unit_hash(seed) / (1 << UNIT_BITS))
     stat, pvalue = scipy.stats.kstest(values, "uniform")
     assert pvalue > 0.01, stat
 

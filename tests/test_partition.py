@@ -1,19 +1,24 @@
 """Interval partitioning: boundaries, uniformity, conflict preservation."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shardsim.keys import PublicKey, position_of
 from shardsim.ledger import Block, TxOutput, Transaction, is_competing
-from shardsim.partition import KeyInterval, PartitionSpec
+from shardsim.partition import KeyInterval, PartitionSpec, shard_index
 
 from conftest import competing_pairs
+
+# Position Q stands for the point 1 of the unit interval.
+Q = 1 << 64
 
 
 def _tx_at(position, tx_id="t"):
     sender = PublicKey(f"at{position}", position)
-    to = PublicKey("sink", 0.999)
+    to = PublicKey("sink", 999 * Q // 1000)
     return Transaction(tx_id, sender, (TxOutput(to, 1),), b"")
 
 
@@ -24,8 +29,8 @@ def test_invalid_shard_count():
 
 def test_intervals_tile_the_unit_interval():
     spec = PartitionSpec(5)
-    assert spec.interval(1).lo == 0.0
-    assert spec.interval(5).hi == 1.0
+    assert spec.interval(1).lo == 0
+    assert spec.interval(5).hi == Q
     for i in range(1, 5):
         assert spec.interval(i).hi == spec.interval(i + 1).lo
     with pytest.raises(ValueError):
@@ -35,36 +40,114 @@ def test_intervals_tile_the_unit_interval():
 
 
 def test_interval_is_half_open():
-    iv = KeyInterval(0.25, 0.5)
-    assert not iv.contains(PublicKey("x", 0.25))
-    assert iv.contains(PublicKey("x", 0.3))
-    assert iv.contains(PublicKey("x", 0.5))
-    assert not iv.contains(PublicKey("x", 0.75))
+    iv = KeyInterval(Q // 4, Q // 2)
+    assert not iv.contains(PublicKey("x", Q // 4))
+    assert iv.contains(PublicKey("x", Q // 4 + 1))
+    assert iv.contains(PublicKey("x", 3 * Q // 10))
+    assert iv.contains(PublicKey("x", Q // 2))
+    assert not iv.contains(PublicKey("x", Q // 2 + 1))
+    assert not iv.contains(PublicKey("x", 3 * Q // 4))
+
+
+def test_shard_index_boundaries():
+    assert shard_index(0, 4) == 1
+    assert shard_index(1, 4) == 1
+    assert shard_index(Q // 4, 4) == 1
+    assert shard_index(Q // 4 + 1, 4) == 2
+    assert shard_index(Q // 2, 4) == 2
+    assert shard_index(Q // 2 + 1, 4) == 3
+    assert shard_index(Q, 4) == 4
+    assert shard_index(0, 1) == 1
+    assert shard_index(Q, 1) == 1
 
 
 def test_which_part_boundaries():
     spec = PartitionSpec(4)
-    assert spec.which_part(_tx_at(0.5)) == 2
-    assert spec.which_part(_tx_at(0.50001)) == 3
-    assert spec.which_part(_tx_at(0.25)) == 1
-    assert spec.which_part(_tx_at(1.0)) == 4
-    assert spec.which_part(_tx_at(1e-9)) == 1
+    assert spec.which_part(_tx_at(Q // 2)) == 2
+    assert spec.which_part(_tx_at(Q // 2 + 1)) == 3
+    assert spec.which_part(_tx_at(Q // 4)) == 1
+    assert spec.which_part(_tx_at(Q)) == 4
+    assert spec.which_part(_tx_at(1)) == 1
 
 
 def test_which_part_is_ceiling_of_scaled_position():
     spec = PartitionSpec(7)
     for i in range(1, 200):
-        pos = i / 200
+        pos = i * Q // 200
         tx = _tx_at(pos)
-        assert spec.which_part(tx) == max(1, math.ceil(pos * 7))
+        assert spec.which_part(tx) == math.ceil(Fraction(pos * 7, Q))
 
 
 def test_which_part_agrees_with_interval_membership():
     spec = PartitionSpec(8)
     for i in range(500):
         pk = PublicKey.from_id(f"m{i}")
-        shard = spec.shard_of_position(pk.position)
+        shard = shard_index(pk.position, spec.m)
         assert spec.interval(shard).contains(pk)
+
+
+# -- one partition rule (property) --------------------------------------------
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 101, 691, 7919, 9973]
+_TABLE_M = [3, 5, 6, 7, 10, 12, 100, 700, 10000]
+
+
+def _boundary_positions(m):
+    """P in {hi-1, hi, hi+1} at every boundary hi = (k * 2**64) // m, within [1, 2**64]."""
+    his = {(k * Q) // m for k in range(1, m + 1)}
+    return sorted({p for hi in his for p in (hi - 1, hi, hi + 1) if 1 <= p <= Q})
+
+
+@st.composite
+def _shard_count_and_position(draw):
+    m = draw(
+        st.one_of(
+            st.integers(1, 10**4),
+            st.sampled_from([1 << k for k in range(14)]),
+            st.sampled_from(_PRIMES),
+        )
+    )
+    # Offsets of up to 2**12 reach the integer images of the doubles next to
+    # each boundary, where a float rule would round.
+    near_boundary = st.builds(
+        lambda k, sign, s: (k * Q) // m + sign * (1 << s),
+        st.integers(1, m),
+        st.sampled_from((-1, 0, 1)),
+        st.integers(0, 12),
+    )
+    position = draw(st.one_of(st.integers(1, Q), near_boundary).filter(lambda p: 1 <= p <= Q))
+    return m, position
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shard_count_and_position())
+# The integer image of the float 0x1.5555555555556p-2, just above 1/3: the
+# float ceil put it in shard 1 and the float interval 2 contained it.
+@example(case=(3, int(float.fromhex("0x1.5555555555556p-2") * Q)))
+def test_shard_index_agrees_with_contains(case):
+    m, position = case
+    spec = PartitionSpec(m)
+    pk = PublicKey("p", position)
+    owners = [i for i in range(1, m + 1) if spec.interval(i).contains(pk)]
+    assert owners == [shard_index(position, m)]
+
+
+@pytest.mark.parametrize("m", _TABLE_M)
+def test_boundary_table_has_one_owner(m):
+    spec = PartitionSpec(m)
+    intervals = [spec.interval(i) for i in range(1, m + 1)]
+    # The intervals tile (0, 2**64], so the owner's neighbours are the only
+    # other candidates for a point next to a boundary.
+    assert intervals[0].lo == 0 and intervals[-1].hi == Q
+    for left, right in zip(intervals, intervals[1:]):
+        assert left.lo < left.hi == right.lo
+    for position in _boundary_positions(m):
+        pk = PublicKey("p", position)
+        i = shard_index(position, m)
+        assert intervals[i - 1].contains(pk)
+        for j in (i - 1, i + 1):
+            if 1 <= j <= m:
+                assert not intervals[j - 1].contains(pk)
 
 
 def test_part_empty_input():
@@ -73,7 +156,7 @@ def test_part_empty_input():
 
 def test_part_singleton():
     spec = PartitionSpec(4)
-    tx = _tx_at(0.6, "only")
+    tx = _tx_at(3 * Q // 5, "only")
     parts = spec.part([tx])
     assert sum(1 for p in parts if p) == 1
     assert tx in parts[spec.which_part(tx) - 1]
@@ -109,7 +192,7 @@ def test_uniformity_million_keys():
     spec = PartitionSpec(8)
     counts = [0] * 8
     for i in range(1_000_000):
-        counts[spec.shard_of_position(position_of(f"u{i}")) - 1] += 1
+        counts[shard_index(position_of(f"u{i}"), 8) - 1] += 1
     expected = 1_000_000 / 8
     sigma = math.sqrt(1_000_000 * (1 / 8) * (7 / 8))
     for c in counts:

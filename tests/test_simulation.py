@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 
 from shardsim.ledger import Block, build_transaction, verify
+from shardsim.membership import MembershipCertificate
+from shardsim.partition import shard_index
 from shardsim.simulation import (
     ConfigError,
-    Participation,
     RunConfig,
     Simulation,
     first_divergence,
@@ -110,7 +111,7 @@ def test_bootstrap_lazy_sees_only_local_grants():
     # shard; every other shard receives exactly its own residents' grants
     # through lazy support.
     sim = Simulation(_cfg(n=24, m=4, rounds=0, sync="lazy", t_lease=3))
-    mint_shard = sim.spec.shard_of_position(sim.mint.pk.position)
+    mint_shard = shard_index(sim.mint.pk.position, sim.cfg.m)
     for i, ctx in enumerate(sim.local_ctx, start=1):
         interval = sim.spec.interval(i)
         for kp in sim.clients:
@@ -197,10 +198,10 @@ def test_round_records_shape():
 
 def test_wrong_shard_certificates_are_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(1, 1)
+    real = sim._participations(1)
     assert real, "shard 1 should be populated"
     # Present shard 1's certificates as if they claimed shard 2 seats.
-    forged = [Participation(p.pk, p.sigma, p.shard, p.round) for p in real]
+    forged = [MembershipCertificate(c.pk, c.shard, c.sigma, c.round) for c in real]
     block, certified, byz, breach = sim.decide_sub_block(2, forged, set(), 1)
     assert certified == []
     assert len(block) == 0
@@ -209,8 +210,8 @@ def test_wrong_shard_certificates_are_discarded():
 
 def test_tampered_sigma_is_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(1, 1)
-    forged = [Participation(p.pk, b"\x00" * 32, p.shard, p.round) for p in real]
+    real = sim._participations(1)
+    forged = [MembershipCertificate(c.pk, c.shard, b"\x00" * 32, c.round) for c in real]
     block, certified, _, _ = sim.decide_sub_block(1, forged, set(), 1)
     assert certified == []
     assert len(block) == 0
@@ -224,7 +225,7 @@ def test_competing_pool_resolves_to_lexicographic_winner():
     tx_a = build_transaction(sim.scheme, spender, [(others[0].pk, bal)], "dup-a")
     tx_b = build_transaction(sim.scheme, spender, [(others[1].pk, bal)], "dup-b")
     shard = sim.spec.which_part(tx_a)
-    parts = sim._participations(shard, 1)
+    parts = sim._participations(shard)
     block, certified, _, _ = sim.decide_sub_block(shard, parts, {tx_a, tx_b}, 1)
     assert certified
     assert {tx.tx_id for tx in block} == {"dup-a"}

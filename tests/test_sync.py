@@ -10,6 +10,9 @@ from shardsim.partition import PartitionSpec
 from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
 
+# Position Q stands for the point 1 of the unit interval.
+Q = 1 << 64
+
 
 def _tx(sender_pos, recipient_positions, tx_id):
     sender = PublicKey(f"s@{sender_pos}", sender_pos)
@@ -31,7 +34,7 @@ def _interval(gb, shard):
 def _random_global_block(m, count, seed):
     rng = random.Random(seed)
     txs = [
-        _tx(rng.uniform(1e-9, 1.0), [rng.uniform(1e-9, 1.0)], f"x{i:04d}")
+        _tx(rng.randint(1, Q), [rng.randint(1, Q)], f"x{i:04d}")
         for i in range(count)
     ]
     return _global_block(m, txs), txs
@@ -44,7 +47,7 @@ def test_single_shard_has_no_remote_support():
 
 
 def test_eager_empty_when_all_senders_local():
-    txs = [_tx(0.1, [0.9], "a"), _tx(0.2, [0.3], "b")]
+    txs = [_tx(Q // 10, [9 * Q // 10], "a"), _tx(Q // 5, [3 * Q // 10], "b")]
     gb = _global_block(4, txs)
     assert eager_collect_support(gb, _interval(gb, 1)).txs == frozenset()
 
@@ -59,15 +62,19 @@ def test_eager_union_with_own_sub_block_is_global_block():
 
 def test_lazy_empty_without_cross_shard_payments():
     # Every payment stays inside its sender's shard.
-    txs = [_tx(0.1, [0.2], "a"), _tx(0.6, [0.7], "b"), _tx(0.9, [0.95], "c")]
+    txs = [
+        _tx(Q // 10, [Q // 5], "a"),
+        _tx(3 * Q // 5, [7 * Q // 10], "b"),
+        _tx(9 * Q // 10, [19 * Q // 20], "c"),
+    ]
     gb = _global_block(4, txs)
     for shard in range(1, 5):
         assert lazy_collect_support(gb, _interval(gb, shard)).txs == frozenset()
 
 
 def test_lazy_includes_only_payments_into_shard():
-    remote_in = _tx(0.9, [0.1], "in")     # pays into shard 1
-    remote_out = _tx(0.8, [0.6], "out")   # stays away from shard 1
+    remote_in = _tx(9 * Q // 10, [Q // 10], "in")  # pays into shard 1
+    remote_out = _tx(4 * Q // 5, [3 * Q // 5], "out")  # stays away from shard 1
     gb = _global_block(4, [remote_in, remote_out])
     rs = lazy_collect_support(gb, _interval(gb, 1))
     assert rs.txs == frozenset([remote_in])
@@ -76,13 +83,14 @@ def test_lazy_includes_only_payments_into_shard():
 def test_lazy_never_ships_own_sub_block():
     # A local sender paying a local recipient is not remote support even
     # though the recipient is in the shard.
-    local = _tx(0.1, [0.15], "local")
+    local = _tx(Q // 10, [3 * Q // 20], "local")
     gb = _global_block(4, [local])
     assert lazy_collect_support(gb, _interval(gb, 1)).txs == frozenset()
 
 
 def test_multi_output_tx_reaches_every_recipient_shard_once():
-    spanning = _tx(0.1, [0.4, 0.6, 0.65], "span")  # shard 2 and shard 3 of 4
+    # Pays into shard 2 and shard 3 of 4.
+    spanning = _tx(Q // 10, [2 * Q // 5, 3 * Q // 5, 13 * Q // 20], "span")
     gb = _global_block(4, [spanning])
     assert lazy_collect_support(gb, _interval(gb, 2)).txs == frozenset([spanning])
     assert lazy_collect_support(gb, _interval(gb, 3)).txs == frozenset([spanning])
