@@ -31,73 +31,142 @@ class Attack:
 
 @dataclass
 class AdversaryState:
+    """Ball colors and attacks, with derived masks and counts kept current.
+
+    ``free_blue`` (blue, not under attack) and ``free_red`` (red, not
+    released) and their sizes change only on ``seed_red``, ``launch`` and
+    ``complete_due``. Once ``track`` attaches an assignment of balls to
+    bins, ``red_counts`` and ``totals`` hold its per-bin counts as ints;
+    the caller calls ``recount`` after re-drawing bins in place.
+    """
+
     n: int
     capacity: int
     t_takeover: int
     red: np.ndarray = field(init=False)
     under_attack: np.ndarray = field(init=False)
     released: np.ndarray = field(init=False)
-    in_flight: list[Attack] = field(default_factory=list)
-    launched: int = 0
-    completed: int = 0
-    peak_usage: int = 0
+    free_blue: np.ndarray = field(init=False)
+    free_red: np.ndarray = field(init=False)
+    n_free_blue: int = field(init=False)
+    n_free_red: int = field(init=False, default=0)
+    n_under_attack: int = field(init=False, default=0)
+    bins: np.ndarray | None = field(init=False, default=None)
+    m: int = field(init=False, default=0)
+    red_counts: list[int] = field(init=False, default_factory=list)
+    totals: list[int] = field(init=False, default_factory=list)
+    _shift: np.ndarray | None = field(init=False, default=None, repr=False)
+    launched: int = field(init=False, default=0)
+    completed: int = field(init=False, default=0)
+    peak_usage: int = field(init=False, default=0)
+    _due: dict[int, list[Attack]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.red = np.zeros(self.n, dtype=bool)
         self.under_attack = np.zeros(self.n, dtype=bool)
         self.released = np.zeros(self.n, dtype=bool)
+        self.free_blue = np.ones(self.n, dtype=bool)
+        self.free_red = np.zeros(self.n, dtype=bool)
+        self.n_free_blue = self.n
 
     def seed_red(self, indices: np.ndarray) -> None:
         self.red[indices] = True
+        self.free_blue = ~self.red & ~self.under_attack
+        self.free_red = self.red & ~self.released
+        self.n_free_blue = int(np.count_nonzero(self.free_blue))
+        self.n_free_red = int(np.count_nonzero(self.free_red))
+        if self.bins is not None:
+            self.track(self.bins, self.m)
         self.peak_usage = max(self.peak_usage, self.capacity_used())
 
-    def active_controlled(self) -> np.ndarray:
-        return self.red & ~self.released
-
     def capacity_used(self) -> int:
-        return int(self.active_controlled().sum() + self.under_attack.sum())
+        return self.n_free_red + self.n_under_attack
+
+    def track(self, bins: np.ndarray, m: int) -> None:
+        """Keep per-bin counts of ``bins``, an assignment of balls to [0, m)."""
+        self.bins = bins
+        self.m = m
+        self._shift = self.red * m  # red balls count in cells m..2m-1
+        self.recount()
+
+    def recount(self) -> None:
+        """Re-count every bin after the tracked assignment moved."""
+        m = self.m
+        cells = np.bincount(self.bins + self._shift, minlength=2 * m).tolist()
+        self.red_counts = cells[m:]
+        self.totals = [b + r for b, r in zip(cells[:m], self.red_counts)]
 
     def launch(self, targets: np.ndarray, releases: np.ndarray, round: int) -> Attack:
-        if targets.size == 0 or targets.size != releases.size:
+        k = targets.size
+        if k == 0 or k != releases.size:
             raise AttackError("attacks trade control one-for-one, sizes must match")
-        if self.red[targets].any() or self.under_attack[targets].any():
+        if not self.free_blue[targets].all():
             raise AttackError("targets must be blue and not already under attack")
-        if not self.red[releases].all() or self.released[releases].any():
+        if not self.free_red[releases].all():
             raise AttackError("releases must be controlled red balls")
-        self.under_attack[targets] = True
-        self.released[releases] = True
+        # Blue targets and red releases are disjoint, so one set finds repeats.
+        if len(set(targets.tolist() + releases.tolist())) != 2 * k:
+            raise AttackError("an attack names each target and release once")
+        # A one-for-one trade of distinct free balls leaves usage unchanged,
+        # so this only fires when usage already exceeds the capacity.
         used = self.capacity_used()
         if used > self.capacity:
-            self.under_attack[targets] = False
-            self.released[releases] = False
             raise AttackError(f"capacity exceeded: {used} > {self.capacity}")
+        self.under_attack[targets] = True
+        self.free_blue[targets] = False
+        self.released[releases] = True
+        self.free_red[releases] = False
+        self.n_free_blue -= k
+        self.n_free_red -= k
+        self.n_under_attack += k
         self.peak_usage = max(self.peak_usage, used)
         attack = Attack(targets, releases, round, round + self.t_takeover)
-        self.in_flight.append(attack)
+        self._due.setdefault(attack.completes, []).append(attack)
         self.launched += 1
         return attack
 
     def complete_due(self, round: int) -> list[Attack]:
         """Land every attack whose takeover window ends at ``round``."""
-        done = [a for a in self.in_flight if a.completes == round]
+        done = self._due.pop(round, None)
         if not done:
             return []
-        self.in_flight = [a for a in self.in_flight if a.completes != round]
         for attack in done:
-            self.red[attack.targets] = True
-            self.under_attack[attack.targets] = False
-            self.red[attack.releases] = False
-            self.released[attack.releases] = False
+            targets, releases = attack.targets, attack.releases
+            self.red[targets] = True
+            self.under_attack[targets] = False
+            self.free_red[targets] = True
+            self.red[releases] = False
+            self.released[releases] = False
+            self.free_blue[releases] = True
+            k = targets.size
+            self.n_free_blue += k
+            self.n_free_red += k
+            self.n_under_attack -= k
             self.completed += 1
+            if self.bins is not None:
+                # The bins did not move: only the swapped balls' bins change color.
+                self._shift[targets] = self.m
+                self._shift[releases] = 0
+                for b in self.bins[targets].tolist():
+                    self.red_counts[b] += 1
+                for b in self.bins[releases].tolist():
+                    self.red_counts[b] -= 1
         self.peak_usage = max(self.peak_usage, self.capacity_used())
         return done
+
+
+def _first_free(free: np.ndarray, in_bin: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest free indices, those with ``in_bin`` set first."""
+    picked = (free & in_bin).nonzero()[0][:k]
+    if picked.size < k:
+        spare = (free & ~in_bin).nonzero()[0][: k - picked.size]
+        picked = np.concatenate([picked, spare])
+    return picked
 
 
 def plan_attack(
     strategy: str,
     state: AdversaryState,
-    bins: np.ndarray,
-    m: int,
     attack_size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -106,37 +175,21 @@ def plan_attack(
     ``adaptive-greedy`` concentrates: it attacks blue balls in the bin that
     is already closest to failing and retires reds from the bin furthest
     from it. ``adaptive-random`` picks both sides uniformly. Both observe
-    the full public state.
+    the full public state; greedy reads the bins ``state`` tracks.
     """
-    blues_free = np.flatnonzero(~state.red & ~state.under_attack)
-    reds_free = np.flatnonzero(state.active_controlled())
-    k = min(attack_size, blues_free.size, reds_free.size)
+    k = min(attack_size, state.n_free_blue, state.n_free_red)
     if k == 0:
         return None
     if strategy == "adaptive-random":
-        targets = rng.choice(blues_free, size=k, replace=False)
-        releases = rng.choice(reds_free, size=k, replace=False)
+        targets = rng.choice(np.flatnonzero(state.free_blue), size=k, replace=False)
+        releases = rng.choice(np.flatnonzero(state.free_red), size=k, replace=False)
         return targets, releases
     if strategy != "adaptive-greedy":
         raise AttackError(f"no attack planner for strategy {strategy!r}")
 
-    totals = np.bincount(bins, minlength=m).astype(float)
-    red_counts = np.bincount(bins[state.red], minlength=m).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(totals > 0, red_counts / np.maximum(totals, 1), 0.0)
-    hot = int(np.argmax(ratio))
-    cold = int(np.argmin(ratio))
-
-    hot_blues = blues_free[bins[blues_free] == hot]
-    if hot_blues.size >= k:
-        targets = hot_blues[:k]
-    else:
-        spare_blues = blues_free[bins[blues_free] != hot]
-        targets = np.concatenate([hot_blues, spare_blues[: k - hot_blues.size]])
-    cold_reds = reds_free[bins[reds_free] == cold]
-    if cold_reds.size >= k:
-        releases = cold_reds[:k]
-    else:
-        spare_reds = reds_free[bins[reds_free] != cold]
-        releases = np.concatenate([cold_reds, spare_reds[: k - cold_reds.size]])
+    ratio = [r / t if t else 0.0 for r, t in zip(state.red_counts, state.totals)]
+    hot = ratio.index(max(ratio))
+    cold = ratio.index(min(ratio))
+    targets = _first_free(state.free_blue, state.bins == hot, k)
+    releases = _first_free(state.free_red, state.bins == cold, k)
     return targets, releases

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,9 +102,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _failing_bins(red_counts: np.ndarray, total_counts: np.ndarray) -> np.ndarray:
-    # Failure: red/(red+blue) >= 1/3 with at least one red present.
+def _failing_bins(red_counts, total_counts):
+    # Failure: red/(red+blue) >= 1/3 with at least one red present. Works
+    # elementwise on count arrays and on plain ints alike.
     return (3 * red_counts >= total_counts) & (red_counts > 0)
+
+
+def _ratio_terms(red_counts: np.ndarray, total_counts: np.ndarray) -> tuple[float, int]:
+    """Sum and number of the red ratios of the occupied bins."""
+    occupied = total_counts > 0
+    return (
+        float((red_counts[occupied] / total_counts[occupied]).sum()),
+        int(occupied.sum()),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,9 +161,9 @@ def mc_static_failure_rate(
         blues = rng.multinomial(n_blue, pvals, size=size)
         totals = reds + blues
         failures += int(_failing_bins(reds, totals).any(axis=1).sum())
-        occupied = totals > 0
-        ratio_sum += float((reds[occupied] / totals[occupied]).sum())
-        ratio_count += int(occupied.sum())
+        terms = _ratio_terms(reds, totals)
+        ratio_sum += terms[0]
+        ratio_count += terms[1]
         done += size
     rate = failures / trials
     low, high = wilson_interval(failures, trials)
@@ -214,6 +224,11 @@ def mc_iterated_lazy(
     again after any attack completions; a round counts once however many
     bins fail. ``capture_rounds`` snapshots the full assignment at the
     named rounds for distribution tests.
+
+    Adaptive strategies step round by round on per-bin counts that the
+    ``AdversaryState`` keeps. Under ``none`` and ``static`` the colors never
+    change, so rounds run in blocks (see ``_static_blocks``). Both replay
+    the same random stream.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -225,6 +240,10 @@ def mc_iterated_lazy(
             raise ValueError("adaptive strategies require t_lease <= t_takeover")
     if t_lease < 1 or rounds < 1:
         raise ValueError("t_lease and rounds must be positive")
+    if attack_size is not None and attack_size < 1:
+        raise ValueError("attack_size must be at least 1")
+    if not 0.0 <= red_fraction < 1.0:
+        raise ValueError("red_fraction must lie in [0, 1)")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, _ITERATED_STREAM]))
     n_red = 0 if strategy == "none" else int(red_fraction * n)
@@ -242,39 +261,113 @@ def mc_iterated_lazy(
     ratio_sum = 0.0
     ratio_count = 0
 
-    def check(r: int) -> bool:
-        red_counts = np.bincount(bins[state.red], minlength=m)
-        totals = np.bincount(bins, minlength=m)
-        return bool(_failing_bins(red_counts, totals).any())
-
-    def maybe_launch(r: int) -> None:
-        plan = plan_attack(strategy, state, bins, m, attack_size, rng)
-        if plan is not None:
-            state.launch(plan[0], plan[1], r)
-
-    for r in range(1, rounds + 1):
-        if r > 1:
-            movers = groups[r % t_lease]
-            if movers.size:
-                bins[movers] = rng.integers(0, m, movers.size)
-        failed = check(r)
-        if adaptive and state.complete_due(r):
-            failed = check(r) or failed
-        if failed:
-            result.failure_rounds.append(r)
-        if adaptive:
-            maybe_launch(r)
-        if r in wanted:
-            result.captures[r] = bins.copy()
-        if stats_every and r % stats_every == 0:
-            red_counts = np.bincount(bins[state.red], minlength=m)
-            totals = np.bincount(bins, minlength=m)
-            occupied = totals > 0
-            ratio_sum += float((red_counts[occupied] / totals[occupied]).sum())
-            ratio_count += int(occupied.sum())
+    if adaptive:
+        state.track(bins, m)
+        for r in range(1, rounds + 1):
+            if r > 1:
+                movers = groups[r % t_lease]
+                if movers.size:
+                    bins[movers] = rng.integers(0, m, movers.size)
+                    state.recount()
+            failed = any(map(_failing_bins, state.red_counts, state.totals))
+            if state.complete_due(r):
+                failed = any(map(_failing_bins, state.red_counts, state.totals)) or failed
+            if failed:
+                result.failure_rounds.append(r)
+            plan = plan_attack(strategy, state, attack_size, rng)
+            if plan is not None:
+                state.launch(plan[0], plan[1], r)
+            if r in wanted:
+                result.captures[r] = bins.copy()
+            if stats_every and r % stats_every == 0:
+                terms = _ratio_terms(np.array(state.red_counts), np.array(state.totals))
+                ratio_sum += terms[0]
+                ratio_count += terms[1]
+    else:
+        blocks = _static_blocks(bins, state.red, groups, rng, m, rounds, wanted)
+        for r0, red_counts, totals in blocks:
+            failing = _failing_bins(red_counts, totals).any(axis=1)
+            result.failure_rounds.extend((r0 + np.flatnonzero(failing)).tolist())
+            if r0 + len(totals) - 1 in wanted:
+                result.captures[r0 + len(totals) - 1] = bins.copy()
+            if stats_every:
+                for i in range(-r0 % stats_every, len(totals), stats_every):
+                    terms = _ratio_terms(red_counts[i], totals[i])
+                    ratio_sum += terms[0]
+                    ratio_count += terms[1]
 
     result.mean_red_ratio = ratio_sum / ratio_count if ratio_count else 0.0
     result.attacks_launched = state.launched
     result.attacks_completed = state.completed
     result.peak_capacity_used = state.peak_usage
     return result
+
+
+# Re-draws per block of batched rounds: each block's arrays stay near 0.5 MB.
+_BLOCK_DRAWS = 1 << 16
+
+
+def _static_blocks(
+    bins: np.ndarray,
+    red: np.ndarray,
+    groups: list[np.ndarray],
+    rng: np.random.Generator,
+    m: int,
+    rounds: int,
+    ends: set[int],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per-round bin counts for rounds 1..rounds when colors never change.
+
+    Yields ``(first round, red counts, totals)`` per block, the counts as
+    (block rounds, m) arrays, with ``bins`` already moved to the block's
+    last round. Round 1 is a block of its own, and a block ends at the
+    latest at each round in ``ends``.
+
+    A block's re-draws come from one ``rng.integers`` call; bounded draws
+    concatenate, so this replays the round-by-round stream exactly. Over
+    any t_lease consecutive rounds every ball re-draws once, in the order
+    of ``groups`` concatenated, so draw j and draw j - n move the same
+    ball: a draw's previous bin is the draw n places earlier, or the
+    ball's bin before the block. Per-round counts are then the cumulative
+    sum of each round's deltas (+1 in the new bin, -1 in the old one),
+    counted per (row, color, bin) cell with one ``bincount`` per side.
+    """
+    n = bins.size
+    t_lease = len(groups)
+    sizes = np.array([g.size for g in groups])
+    offsets = np.cumsum(sizes) - sizes
+    span = max(1, _BLOCK_DRAWS // max(1, n // t_lease, m))
+    if span >= t_lease:
+        span -= span % t_lease  # full blocks then share one layout
+    # Re-draw order, long enough to read any block as one slice.
+    cycle = np.tile(np.concatenate(groups), 2 + span * int(sizes.max()) // max(1, n))
+    counts = np.stack([np.bincount(bins[~red], minlength=m), np.bincount(bins[red], minlength=m)])
+    yield 1, counts[1][None], counts.sum(axis=0)[None]
+    layout = None
+    stops = sorted(r for r in ends if 2 <= r < rounds) + [rounds]
+    r0 = 2
+    for stop in stops:
+        while r0 <= stop:
+            length = min(span, stop - r0 + 1)
+            phase = r0 % t_lease
+            if layout != (phase, length):
+                layout = (phase, length)
+                per_round = sizes[(phase + np.arange(length)) % t_lease]
+                total = int(per_round.sum())
+                idx = cycle[offsets[phase] : offsets[phase] + total]
+                # Cell of each draw: row, then color (blue 0, red 1), then bin.
+                base = np.repeat(np.arange(0, length * 2 * m, 2 * m), per_round) + m * red[idx]
+                cells = length * 2 * m
+            new = rng.integers(0, m, total)
+            old = bins[idx[:n]]
+            if total > n:
+                old = np.concatenate([old, new[:-n]])
+            delta = np.bincount(base + new, minlength=cells) - np.bincount(
+                base + old, minlength=cells
+            )
+            block = counts + np.cumsum(delta.reshape(length, 2, m), axis=0)
+            last = slice(max(0, total - n), total)
+            bins[idx[last]] = new[last]
+            counts = block[-1]
+            yield r0, block[:, 1], block.sum(axis=1)
+            r0 += length

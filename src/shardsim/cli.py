@@ -291,7 +291,10 @@ def cmd_bins_mc(args) -> int:
         raise ConfigError("--rounds applies to iterated bins-mc only")
     out = _out_dir(args)
     if cfg.mode == "static":
-        res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
+        try:
+            res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         unused = _ITERATED_ONLY
         columns = (
             "n",

@@ -169,7 +169,7 @@ class LedgerContext:
     entries. Local shard contexts append two entries per round (own
     sub-block, then the remote support for that round, tagged
     ``remote=True``); global contexts append one block per round. A context
-    is single-writer; snapshots for sharing are taken with ``clone``.
+    is single-writer.
     """
 
     def __init__(
@@ -224,39 +224,6 @@ class LedgerContext:
     def tx_count(self, min_round: int = 0) -> int:
         return sum(len(e.block) for e in self.entries if e.round >= min_round)
 
-    def replayed_balances(self) -> dict[str, int]:
-        """Recompute balances from scratch; must equal the incremental map."""
-        fresh = LedgerContext(self.scheme, self.mint)
-        for entry in self.entries:
-            fresh.append(entry.block, round=entry.round, remote=entry.remote)
-        return fresh._balances
-
-    def clone(self) -> "LedgerContext":
-        other = LedgerContext(self.scheme, self.mint)
-        other.entries = list(self.entries)
-        other._balances = dict(self._balances)
-        other._seen = set(self._seen)
-        return other
-
-    def restricted(self, interval) -> "LedgerContext":
-        """Context filtered to the transactions supporting ``interval``.
-
-        Keeps a transaction iff its sender or one of its recipients lies in
-        the interval; entry structure (rounds, remote tags) is preserved so
-        the result replays in the same order as the original.
-        """
-        other = LedgerContext(self.scheme, self.mint)
-        for entry in self.entries:
-            kept = Block.of(tx for tx in entry.block if _touches(tx, interval))
-            other.append(kept, round=entry.round, remote=entry.remote)
-        return other
-
-
-def _touches(tx: Transaction, interval) -> bool:
-    if interval.contains(tx.sender):
-        return True
-    return any(interval.contains(out.to) for out in tx.outputs)
-
 
 def verify(block: Block, ctx: LedgerContext) -> bool:
     """Admissibility of ``block`` against ``ctx``.
@@ -287,7 +254,12 @@ def support(interval, ctx: LedgerContext) -> set[Transaction]:
     drawn from the interval's senders is unchanged when the context is
     restricted to this set.
     """
-    return {tx for tx in ctx.iter_txs() if _touches(tx, interval)}
+    contains = interval.contains
+    return {
+        tx
+        for tx in ctx.iter_txs()
+        if contains(tx.sender) or any(contains(out.to) for out in tx.outputs)
+    }
 
 
 def is_competing(

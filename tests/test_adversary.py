@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.adversary import AdversaryState, AttackError, plan_attack
 
@@ -67,6 +68,45 @@ def test_release_must_be_active_controlled():
         state.launch(np.array([6]), np.array([0]), round=1)  # already released
 
 
+def _snapshot(state):
+    return (
+        state.red.copy(),
+        state.under_attack.copy(),
+        state.released.copy(),
+        state.free_blue.copy(),
+        state.free_red.copy(),
+        state.n_free_blue,
+        state.n_free_red,
+        state.n_under_attack,
+        list(state.red_counts),
+        state.launched,
+        state.peak_usage,
+    )
+
+
+def _same(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )
+
+
+def test_repeated_targets_or_releases_rejected():
+    # Naming a ball twice would trade two releases for one target and
+    # break the one-for-one count.
+    state = _state()
+    before = _snapshot(state)
+    with pytest.raises(AttackError):
+        state.launch(np.array([5, 5]), np.array([0, 1]), round=1)
+    with pytest.raises(AttackError):
+        state.launch(np.array([5, 6]), np.array([0, 0]), round=1)
+    assert _same(_snapshot(state), before)
+    assert state.capacity_used() == 5
+    state.launch(np.array([5, 6]), np.array([0, 1]), round=1)
+    state.complete_due(4)
+    assert int(state.red.sum()) == 5
+
+
 def test_capacity_exceeded_detected_and_rolled_back():
     # One-for-one trades keep usage flat, so force the capacity branch by
     # seeding at full capacity and then shrinking the budget.
@@ -98,7 +138,8 @@ def test_plan_attack_greedy_targets_hottest_bin():
     state = _state(n=20, capacity=12, reds=(0, 1, 8, 9, 10, 11, 12, 16, 17))
     rng = np.random.default_rng(0)
     bins = np.array([0] * 8 + [1] * 8 + [2] * 4)
-    plan = plan_attack("adaptive-greedy", state, bins, 3, 2, rng)
+    state.track(bins, 3)
+    plan = plan_attack("adaptive-greedy", state, 2, rng)
     assert plan is not None
     targets, releases = plan
     assert len(targets) == len(releases) == 2
@@ -110,8 +151,7 @@ def test_plan_attack_greedy_targets_hottest_bin():
 def test_plan_attack_random_is_launchable():
     state = _state()
     rng = np.random.default_rng(1)
-    bins = np.zeros(20, dtype=int)
-    plan = plan_attack("adaptive-random", state, bins, 4, 3, rng)
+    plan = plan_attack("adaptive-random", state, 3, rng)
     targets, releases = plan
     assert len(targets) == 3
     assert not state.red[targets].any()
@@ -122,14 +162,87 @@ def test_plan_attack_random_is_launchable():
 def test_plan_attack_none_when_nothing_to_trade():
     rng = np.random.default_rng(2)
     no_reds = AdversaryState(10, 0, 3)
-    assert plan_attack("adaptive-greedy", no_reds, np.zeros(10, int), 2, 4, rng) is None
+    assert plan_attack("adaptive-greedy", no_reds, 4, rng) is None
     all_red = AdversaryState(3, 3, 3)
     all_red.seed_red(np.arange(3))
-    assert plan_attack("adaptive-greedy", all_red, np.zeros(3, int), 2, 4, rng) is None
+    assert plan_attack("adaptive-greedy", all_red, 4, rng) is None
 
 
 def test_plan_attack_unknown_strategy():
     state = _state()
     rng = np.random.default_rng(3)
     with pytest.raises(AttackError):
-        plan_attack("static", state, np.zeros(20, int), 4, 2, rng)
+        plan_attack("static", state, 2, rng)
+
+
+def _check_against_recomputation(state, bins, m, n_red):
+    red, attacked, released = state.red, state.under_attack, state.released
+    assert np.array_equal(state.free_blue, ~red & ~attacked)
+    assert np.array_equal(state.free_red, red & ~released)
+    assert state.n_free_blue == int((~red & ~attacked).sum())
+    assert state.n_free_red == int((red & ~released).sum())
+    assert state.n_under_attack == int(attacked.sum())
+    assert state.capacity_used() == int((red & ~released).sum() + attacked.sum())
+    assert not (attacked & red).any() and not (released & ~red).any()
+    assert int(red.sum()) == n_red
+    assert state.red_counts == np.bincount(bins[red], minlength=m).tolist()
+    assert state.totals == np.bincount(bins, minlength=m).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_maintained_state_matches_recomputation(data):
+    """Random launches (valid, planned and rejected), completions and moves
+    leave every maintained mask, counter and per-bin count equal to its
+    recomputation from ``red``, ``under_attack``, ``released`` and ``bins``."""
+    n = data.draw(st.integers(2, 24), label="n")
+    m = data.draw(st.integers(1, 5), label="m")
+    n_red = data.draw(st.integers(0, n), label="n_red")
+    capacity = data.draw(st.integers(max(0, n_red - 2), n_red), label="capacity")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    state = AdversaryState(n, capacity, data.draw(st.integers(1, 4), label="t_takeover"))
+    bins = rng.integers(0, m, n)
+    track_first = data.draw(st.booleans(), label="track before seeding")
+    if track_first:
+        state.track(bins, m)
+    state.seed_red(rng.choice(n, size=n_red, replace=False))
+    if not track_first:
+        state.track(bins, m)
+    _check_against_recomputation(state, bins, m, n_red)
+
+    ball = st.integers(0, n - 1)
+    for r in range(1, data.draw(st.integers(1, 10), label="rounds") + 1):
+        movers = data.draw(st.lists(ball, unique=True, max_size=n), label="movers")
+        if movers:
+            bins[movers] = rng.integers(0, m, len(movers))
+            state.recount()
+        state.complete_due(r)
+        _check_against_recomputation(state, bins, m, n_red)
+        for _ in range(data.draw(st.integers(0, 3), label="launches")):
+            kind = data.draw(st.sampled_from(["greedy", "random", "free", "any"]))
+            if kind in ("greedy", "random"):
+                size = data.draw(st.integers(1, 4), label="attack size")
+                plan = plan_attack(f"adaptive-{kind}", state, size, rng)
+                if plan is None:
+                    continue
+                targets, releases = plan
+            else:
+                blues = np.flatnonzero(state.free_blue).tolist()
+                reds = np.flatnonzero(state.free_red).tolist()
+                if kind == "any" or not blues or not reds:
+                    blues = reds = list(range(n))
+                targets = np.array(data.draw(st.lists(st.sampled_from(blues), max_size=4)), dtype=int)
+                releases = np.array(data.draw(st.lists(st.sampled_from(reds), max_size=4)), dtype=int)
+            before = _snapshot(state)
+            try:
+                state.launch(targets, releases, r)
+            except AttackError:
+                assert _same(_snapshot(state), before)
+            else:
+                assert state.launched == before[9] + 1
+            _check_against_recomputation(state, bins, m, n_red)
+    for r in range(r + 1, r + 6):
+        state.complete_due(r)
+    _check_against_recomputation(state, bins, m, n_red)
+    assert state.completed == state.launched
+    assert not state.under_attack.any() and not state.released.any()

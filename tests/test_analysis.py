@@ -177,6 +177,21 @@ def test_iterated_rejects_bad_config():
         mc_iterated_lazy(100, 2, 0, 10)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(attack_size=0),
+        dict(attack_size=-3),
+        dict(red_fraction=-0.1),
+        dict(red_fraction=1.0),
+    ],
+    ids=["attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1"],
+)
+def test_iterated_rejects_bad_attack_size_and_fraction(bad):
+    with pytest.raises(ValueError):
+        mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy", t_takeover=5, **bad)
+
+
 def test_iterated_none_strategy_has_no_reds():
     res = mc_iterated_lazy(500, 4, 5, 200, strategy="none", seed=1)
     assert res.failures == 0

@@ -306,6 +306,29 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "strategy = adaptive-greedy\nt_takeover = 10\nattack_size = 0\n",
+        "strategy = adaptive-greedy\nt_takeover = 10\nattack_size = -3\n",
+        "red_fraction = -0.1\n",
+        "red_fraction = 1.0\n",
+    ],
+    ids=["attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1"],
+)
+def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, capsys):
+    cfg = _write(tmp_path, "[bins]\nmode = iterated\nn = 100\nrounds = 20\n" + bad)
+    out = tmp_path / "out"
+    assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bins_mc_static_rejects_bad_fraction(tmp_path):
+    cfg = _write(tmp_path, "[bins]\nmode = static\nn = 100\nred_fraction = -0.1\n")
+    out = tmp_path / "out"
+    assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+
 # -- bound-table --------------------------------------------------------------
 
 

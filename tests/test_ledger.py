@@ -28,6 +28,8 @@ from shardsim.ledger import (
 )
 from shardsim.partition import PartitionSpec
 
+from ledgerlib import replay, restricted
+
 from conftest import funded_context, make_clients, competing_pairs
 
 
@@ -272,12 +274,12 @@ def test_balance_equals_filtered_history_replay(scheme, mint):
                     replayed += out.amount
         assert ctx.balance(kp.pk) == replayed
         # Same thing through the restricted-context API.
-        assert ctx.restricted(OnlyKey(kp.pk)).balance(kp.pk) == replayed
+        assert restricted(ctx, OnlyKey(kp.pk)).balance(kp.pk) == replayed
 
 
 def test_replay_consistency(scheme, mint):
     ctx, _ = _random_history(scheme, mint, seed=9)
-    assert ctx.replayed_balances() == ctx.balances
+    assert replay(ctx).balances == ctx.balances
 
 
 def test_all_balances_stay_nonnegative(scheme, mint):
@@ -327,7 +329,7 @@ def test_prefix_residue(scheme, mint):
     for _ in range(40):
         prefix = set(rng.sample(txs, rng.randrange(0, len(txs) + 1)))
         rest = [tx for tx in txs if tx not in prefix]
-        stepped = ctx.clone()
+        stepped = replay(ctx)
         stepped.append(Block.of(prefix))
         assert verify(Block.of(rest), stepped)
 
@@ -356,7 +358,7 @@ def test_restricted_context_preserves_verify(scheme, mint):
         local = [kp for kp in clients if interval.contains(kp.pk)]
         if not local:
             continue
-        restricted = ctx.restricted(interval)
+        local_ctx = restricted(ctx, interval)
         for k in range(40):
             sender = local[rng.randrange(len(local))]
             to = clients[rng.randrange(len(clients))].pk
@@ -365,7 +367,7 @@ def test_restricted_context_preserves_verify(scheme, mint):
                 scheme, sender, [(to, amount)], f"q{shard}x{k:03d}"
             )
             block = Block.of([tx])
-            assert verify(block, ctx) == verify(block, restricted)
+            assert verify(block, ctx) == verify(block, local_ctx)
 
 
 def test_support_matches_restricted_context(scheme, mint):
@@ -373,7 +375,7 @@ def test_support_matches_restricted_context(scheme, mint):
     ctx, _ = _random_history(scheme, mint, seed=29)
     for shard in range(1, 5):
         interval = spec.interval(shard)
-        assert support(interval, ctx) == set(ctx.restricted(interval).iter_txs())
+        assert support(interval, ctx) == set(restricted(ctx, interval).iter_txs())
 
 
 # -- competing transactions ---------------------------------------------------

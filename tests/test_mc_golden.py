@@ -1,7 +1,8 @@
 """Golden outputs of the iterated Monte Carlo, and the RNG property it relies on.
 
 ``mc_iterated_lazy`` must replay the same random stream however it is
-organised internally, so every output below is pinned bit for bit:
+organised internally, so every output below is pinned bit for bit, and the
+batched static path is compared with a round-by-round reference:
 failure rounds, captured assignments, ``mean_red_ratio``, the attack
 counters and peak capacity use. Regenerate the data file only when the
 process itself is meant to change:
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shardsim import analysis
 from shardsim.analysis import mc_iterated_lazy
 
 GOLDEN = Path(__file__).parent / "data" / "mc_iterated_golden.json"
@@ -90,6 +93,62 @@ def _key(kwargs: dict) -> str:
 def test_iterated_outputs_match_golden(kwargs):
     expected = json.loads(GOLDEN.read_text())[_key(kwargs)]
     assert record(kwargs) == expected
+
+
+def _round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
+                    capture_rounds, stats_every):
+    """Reference: the static process one round and one draw call at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+    n_red = 0 if strategy == "none" else int(red_fraction * n)
+    red = np.zeros(n, dtype=bool)
+    if n_red:
+        red[rng.choice(n, size=n_red, replace=False)] = True
+    slots = rng.integers(0, t_lease, n)
+    groups = [np.flatnonzero(slots == s) for s in range(t_lease)]
+    bins = rng.integers(0, m, n)
+    failures, captures, ratio_sum, ratio_count = [], {}, 0.0, 0
+    for r in range(1, rounds + 1):
+        movers = groups[r % t_lease]
+        if r > 1 and movers.size:
+            bins[movers] = rng.integers(0, m, movers.size)
+        reds = np.bincount(bins[red], minlength=m)
+        totals = np.bincount(bins, minlength=m)
+        if ((3 * reds >= totals) & (reds > 0)).any():
+            failures.append(r)
+        if r in capture_rounds:
+            captures[r] = bins.copy()
+        if stats_every and r % stats_every == 0:
+            occupied = totals > 0
+            ratio_sum += float((reds[occupied] / totals[occupied]).sum())
+            ratio_count += int(occupied.sum())
+    return failures, captures, ratio_sum / ratio_count if ratio_count else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    m=st.integers(1, 9),
+    t_lease=st.integers(1, 12),
+    rounds=st.integers(1, 120),
+    strategy=st.sampled_from(["none", "static"]),
+    seed=st.integers(0, 2**16),
+    red_fraction=st.sampled_from([0.0, 0.25, 0.4]),
+    capture_rounds=st.sets(st.integers(0, 125), max_size=5),
+    stats_every=st.integers(0, 6),
+    block_draws=st.integers(1, 200),
+)
+def test_static_batches_match_round_by_round(block_draws, **kwargs):
+    # Small blocks make most runs span many blocks, with blocks longer and
+    # shorter than one lease and splits at every capture round.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK_DRAWS", block_draws)
+        res = mc_iterated_lazy(**kwargs)
+    failures, captures, mean_ratio = _round_by_round(**kwargs)
+    assert res.failure_rounds == failures
+    assert sorted(res.captures) == sorted(captures)
+    for r, bins in captures.items():
+        assert np.array_equal(res.captures[r], bins)
+    assert res.mean_red_ratio == mean_ratio
 
 
 @pytest.mark.parametrize("m", [3, 4, 7, 8])

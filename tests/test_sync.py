@@ -10,6 +10,8 @@ from shardsim.partition import PartitionSpec
 from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
 
+from ledgerlib import restricted
+
 # Position Q stands for the point 1 of the unit interval.
 Q = 1 << 64
 
@@ -137,7 +139,7 @@ def test_lazy_support_suffices_for_local_verify(m, n, t_lease, seed, rounds, rnd
         if not senders:
             continue
         local = sim.local_ctx[shard - 1]
-        restricted = ctx.restricted(interval)
+        supported = restricted(ctx, interval)
         recorded = [tx for tx in ctx.iter_txs() if interval.contains(tx.sender)]
         for k in range(6):
             txs = []
@@ -155,4 +157,4 @@ def test_lazy_support_suffices_for_local_verify(m, n, t_lease, seed, rounds, rnd
             block = Block.of(txs)
             expect = verify(block, ctx)
             assert verify(block, local) == expect
-            assert verify(block, restricted) == expect
+            assert verify(block, supported) == expect
