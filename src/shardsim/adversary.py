@@ -104,9 +104,11 @@ class AdversaryState:
             raise AttackError("targets must be blue and not already under attack")
         if not self.free_red[releases].all():
             raise AttackError("releases must be controlled red balls")
-        # Blue targets and red releases are disjoint, so one set finds repeats.
-        if len(set(targets.tolist() + releases.tolist())) != 2 * k:
-            raise AttackError("an attack names each target and release once")
+        # Blue targets and red releases are disjoint, so one set finds repeats;
+        # a negative index would alias a ball the set sees as distinct.
+        balls = targets.tolist() + releases.tolist()
+        if len(set(balls)) != 2 * k or min(balls) < 0:
+            raise AttackError("an attack names each target and release once, by index")
         # A one-for-one trade of distinct free balls leaves usage unchanged,
         # so this only fires when usage already exceeds the capacity.
         used = self.capacity_used()
@@ -186,6 +188,8 @@ def plan_attack(
         return targets, releases
     if strategy != "adaptive-greedy":
         raise AttackError(f"no attack planner for strategy {strategy!r}")
+    if state.bins is None:
+        raise AttackError("greedy planning reads the bins the state tracks")
 
     ratio = [r / t if t else 0.0 for r, t in zip(state.red_counts, state.totals)]
     hot = ratio.index(max(ratio))

@@ -288,8 +288,9 @@ def mc_iterated_lazy(
         for r0, red_counts, totals in blocks:
             failing = _failing_bins(red_counts, totals).any(axis=1)
             result.failure_rounds.extend((r0 + np.flatnonzero(failing)).tolist())
-            if r0 + len(totals) - 1 in wanted:
-                result.captures[r0 + len(totals) - 1] = bins.copy()
+            last = r0 + len(totals) - 1
+            if last in wanted:
+                result.captures[last] = bins.copy()
             if stats_every:
                 for i in range(-r0 % stats_every, len(totals), stats_every):
                     terms = _ratio_terms(red_counts[i], totals[i])

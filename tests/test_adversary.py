@@ -100,6 +100,8 @@ def test_repeated_targets_or_releases_rejected():
         state.launch(np.array([5, 5]), np.array([0, 1]), round=1)
     with pytest.raises(AttackError):
         state.launch(np.array([5, 6]), np.array([0, 0]), round=1)
+    with pytest.raises(AttackError):
+        state.launch(np.array([-1, 19]), np.array([0, 1]), round=1)  # ball 19 twice
     assert _same(_snapshot(state), before)
     assert state.capacity_used() == 5
     state.launch(np.array([5, 6]), np.array([0, 1]), round=1)
@@ -138,6 +140,8 @@ def test_plan_attack_greedy_targets_hottest_bin():
     state = _state(n=20, capacity=12, reds=(0, 1, 8, 9, 10, 11, 12, 16, 17))
     rng = np.random.default_rng(0)
     bins = np.array([0] * 8 + [1] * 8 + [2] * 4)
+    with pytest.raises(AttackError):
+        plan_attack("adaptive-greedy", state, 2, rng)  # no bins tracked yet
     state.track(bins, 3)
     plan = plan_attack("adaptive-greedy", state, 2, rng)
     assert plan is not None
@@ -227,12 +231,23 @@ def test_maintained_state_matches_recomputation(data):
                     continue
                 targets, releases = plan
             else:
-                blues = np.flatnonzero(state.free_blue).tolist()
-                reds = np.flatnonzero(state.free_red).tolist()
+                # Free balls, each also by its negative alias, so that lists
+                # may repeat a ball under two spellings.
+                blues = [b - s for b in np.flatnonzero(state.free_blue) for s in (0, n)]
+                reds = [b - s for b in np.flatnonzero(state.free_red) for s in (0, n)]
                 if kind == "any" or not blues or not reds:
-                    blues = reds = list(range(n))
-                targets = np.array(data.draw(st.lists(st.sampled_from(blues), max_size=4)), dtype=int)
-                releases = np.array(data.draw(st.lists(st.sampled_from(reds), max_size=4)), dtype=int)
+                    blues = reds = list(range(-n, n))
+                # "free" draws equal sizes; "any" may mismatch them.
+                size = data.draw(st.integers(0, 4), label="size")
+                other = size if kind == "free" else data.draw(st.integers(0, 4))
+                targets = np.array(
+                    data.draw(st.lists(st.sampled_from(blues), min_size=size, max_size=size)),
+                    dtype=int,
+                )
+                releases = np.array(
+                    data.draw(st.lists(st.sampled_from(reds), min_size=other, max_size=other)),
+                    dtype=int,
+                )
             before = _snapshot(state)
             try:
                 state.launch(targets, releases, r)
