@@ -23,7 +23,6 @@ from .ledger import (
     build_transaction,
     greedy_admissible_block,
     is_competing,
-    support,
     verify,
 )
 from .membership import (

@@ -18,10 +18,7 @@ UNIT_BITS = 64
 
 def oracle_hash(*parts: bytes) -> bytes:
     """SHA-256 over the raw concatenation of ``parts``."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def be8(value: int) -> bytes:

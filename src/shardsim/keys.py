@@ -58,7 +58,7 @@ def position_of(key_id: str) -> int:
 
 def sign_bytes(sk: bytes, message: bytes) -> bytes:
     """Deterministic unique signature: one valid signature per (key, message)."""
-    return oracle_hash(_SIG_TAG, sk, message)
+    return oracle_hash(_SIG_TAG + sk + message)
 
 
 class SignatureScheme:

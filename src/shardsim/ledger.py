@@ -27,10 +27,6 @@ class LedgerError(Exception):
     """Structurally invalid ledger object."""
 
 
-def _length_prefixed(chunk: bytes) -> bytes:
-    return len(chunk).to_bytes(4, "big") + chunk
-
-
 @dataclass(frozen=True, slots=True)
 class TxOutput:
     to: PublicKey
@@ -76,12 +72,15 @@ class Transaction:
 
 
 def canonical_tx_bytes(
-    tx_id: str, sender: PublicKey, outputs: Iterable[TxOutput]
+    tx_id: str, sender: PublicKey, outputs: tuple[TxOutput, ...]
 ) -> bytes:
-    parts = [_length_prefixed(tx_id.encode()), _length_prefixed(sender.id.encode())]
-    for out in sorted(outputs, key=lambda o: (o.to.id, o.amount)):
-        parts.append(_length_prefixed(out.to.id.encode()))
-        parts.append(out.amount.to_bytes(8, "big"))
+    tid, sid = tx_id.encode(), sender.id.encode()
+    parts = [len(tid).to_bytes(4, "big"), tid, len(sid).to_bytes(4, "big"), sid]
+    if len(outputs) > 1:
+        outputs = sorted(outputs, key=lambda o: (o.to.id, o.amount))
+    for out in outputs:
+        rid = out.to.id.encode()
+        parts += (len(rid).to_bytes(4, "big"), rid, out.amount.to_bytes(8, "big"))
     return b"".join(parts)
 
 
@@ -245,21 +244,6 @@ def verify(block: Block, ctx: LedgerContext) -> bool:
             spend[sender] = spend.get(sender, 0) + tx.total_amount
     balances = ctx.balances
     return all(amount <= balances.get(sid, 0) for sid, amount in spend.items())
-
-
-def support(interval, ctx: LedgerContext) -> set[Transaction]:
-    """Every context transaction whose sender or any recipient lies in ``interval``.
-
-    Over-approximates the exact dependency set: admissibility of any block
-    drawn from the interval's senders is unchanged when the context is
-    restricted to this set.
-    """
-    contains = interval.contains
-    return {
-        tx
-        for tx in ctx.iter_txs()
-        if contains(tx.sender) or any(contains(out.to) for out in tx.outputs)
-    }
 
 
 def is_competing(

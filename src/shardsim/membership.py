@@ -64,7 +64,7 @@ class SeedState:
         return cls.derive(1, (oracle_hash(genesis_seed, be8(i)) for i in range(1, m + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipCertificate:
     pk: PublicKey
     shard: int
@@ -105,7 +105,10 @@ class Membership:
     """Registry, seed history, and current certificates for one simulation.
 
     Single volume of trusted public state: node records, the last t_lease
-    global seeds, and the certificates currently in force.
+    global seeds, and the certificates currently in force. Records and
+    certificates are keyed by key id, and records are kept in id order, so
+    ``by_shard`` (each shard's certificates in key-id order) is rebuilt in
+    one pass whenever certificates change.
     """
 
     def __init__(self, m: int, t_lease: int, scheme: SignatureScheme) -> None:
@@ -114,13 +117,14 @@ class Membership:
         self.m = m
         self.t_lease = t_lease
         self.scheme = scheme
-        self.records: dict[PublicKey, NodeRecord] = {}
-        self.certificates: dict[PublicKey, MembershipCertificate] = {}
+        self.records: dict[str, NodeRecord] = {}
+        self.certificates: dict[str, MembershipCertificate] = {}
+        self.by_shard: list[list[MembershipCertificate]] = [[] for _ in range(m)]
         self.seeds: Optional[SeedState] = None
         self._seed_history: dict[int, bytes] = {}
-        # Epoch start -> sigma -> (pk, shard) of each certificate that passed
-        # verify_member; a start's entries leave with its seed.
-        self._verified: dict[int, dict[bytes, tuple[PublicKey, int]]] = {}
+        # Epoch start -> sigma -> (key id, shard) of each certificate that
+        # passed verify_member; a start's entries leave with its seed.
+        self._verified: dict[int, dict[bytes, tuple[str, int]]] = {}
 
     @classmethod
     def init(
@@ -136,13 +140,15 @@ class Membership:
         mem.seeds = SeedState.genesis(genesis_seed, m)
         mem._seed_history[1] = mem.seeds.global_seed
         for pk in sorted(keys, key=lambda k: k.id):
-            if pk in mem.records:
+            if pk.id in mem.records:
                 raise MembershipError(f"duplicate genesis key {pk.id!r}")
-            mem.records[pk] = NodeRecord(
+            mem.records[pk.id] = NodeRecord(
                 pk, 0, shuffle_slot(pk, mem.seeds.global_seed, t_lease)
             )
-        for pk in mem.records:
-            mem.certificates[pk] = mem.get_membership(mem.scheme.keypair(pk.id), 1)
+        for key_id, record in mem.records.items():
+            cert = mem._issue(record, mem.scheme.keypair(key_id).sk, 1)
+            mem.certificates[key_id] = cert
+            mem.by_shard[cert.shard - 1].append(cert)
         return mem
 
     @property
@@ -158,7 +164,7 @@ class Membership:
         return max(1, r - diff)
 
     def eligible(self, pk: PublicKey, r: int) -> bool:
-        return self._record_eligible(self.records.get(pk), r)
+        return self._record_eligible(self.records.get(pk.id), r)
 
     def _record_eligible(self, record: Optional[NodeRecord], r: int) -> bool:
         """The one eligibility rule, for issuing and for verifying.
@@ -182,31 +188,37 @@ class Membership:
         Deterministic within an epoch: every call between two of the
         node's shuffle slots returns the identical certificate.
         """
-        record = self.records.get(kp.pk)
+        record = self.records.get(kp.pk.id)
         if record is None:
             raise EligibilityError(f"{kp.pk.id!r} is not registered")
         if not self._record_eligible(record, r):
             raise EligibilityError(f"{kp.pk.id!r} may not participate at round {r}")
+        return self._issue(record, kp.sk, r)
+
+    def _issue(self, record: NodeRecord, sk: bytes, r: int) -> MembershipCertificate:
+        """Sign the seed of the record's epoch start; the caller checked eligibility."""
         assert record.t_shuffle is not None
-        seed = self._seed_at(self.epoch_start(record.t_shuffle, r))
-        sigma = self.scheme.sign(kp.sk, seed)
-        return MembershipCertificate(kp.pk, shard_index(unit_hash(sigma), self.m), sigma, r)
+        sigma = self.scheme.sign(sk, self._seed_at(self.epoch_start(record.t_shuffle, r)))
+        return MembershipCertificate(
+            record.pk, shard_index(unit_hash(sigma), self.m), sigma, r
+        )
 
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
         """Public check of a claimed (pk, shard) for round ``r``; never raises."""
-        record = self.records.get(pk)
+        record = self.records.get(pk.id)
         if not self._record_eligible(record, r):
             return False
         start = self.epoch_start(record.t_shuffle, r)
+        claim = (pk.id, shard)
         verified = self._verified.get(start)
-        if verified is not None and verified.get(sigma) == (pk, shard):
+        if verified is not None and verified.get(sigma) == claim:
             return True
         if shard_index(unit_hash(sigma), self.m) != shard:
             return False
         seed = self._seed_history.get(start)
         if seed is None or not self.scheme.verify(pk, seed, sigma):
             return False
-        self._verified.setdefault(start, {})[sigma] = (pk, shard)
+        self._verified.setdefault(start, {})[sigma] = claim
         return True
 
     def _seed_at(self, r: int) -> bytes:
@@ -221,17 +233,22 @@ class Membership:
         """Admit new keys at round ``r``; they bench until their slot is drawn."""
         added = []
         for pk in sorted(keys, key=lambda k: k.id):
-            if pk in self.records:
+            if pk.id in self.records:
                 raise MembershipError(f"{pk.id!r} is already registered")
             record = NodeRecord(pk, r, None)
-            self.records[pk] = record
+            self.records[pk.id] = record
             added.append(record)
+        if added:
+            self.records = dict(sorted(self.records.items()))
         return added
 
     def end_of_round(
         self, r: int, new_shard_seeds: Iterable[bytes]
-    ) -> tuple[SeedState, set[PublicKey]]:
-        """Advance to round r+1 and re-draw every node whose slot came up."""
+    ) -> tuple[SeedState, set[str]]:
+        """Advance to round r+1 and re-draw every node whose slot came up.
+
+        Returns the new seed state and the ids of the re-drawn keys.
+        """
         if r != self.round:
             raise MembershipError(f"end_of_round({r}) called at round {self.round}")
         seeds = tuple(new_shard_seeds)
@@ -243,33 +260,30 @@ class Membership:
             del self._seed_history[past]
             self._verified.pop(past, None)
 
-        for record in self.records.values():
+        redrawn: set[str] = set()
+        by_shard: list[list[MembershipCertificate]] = [[] for _ in range(self.m)]
+        slot = (r + 1) % self.t_lease
+        for key_id, record in self.records.items():
             if record.t_shuffle is None and record.t_join + self.t_lease == r + 1:
                 record.t_shuffle = shuffle_slot(
                     record.pk, self.seeds.global_seed, self.t_lease
                 )
-
-        redrawn: set[PublicKey] = set()
-        slot = (r + 1) % self.t_lease
-        for pk, record in self.records.items():
-            if record.t_shuffle != slot:
-                continue
-            if not self._record_eligible(record, r + 1):
-                continue
-            self.certificates[pk] = self.get_membership(self.scheme.keypair(pk.id), r + 1)
-            redrawn.add(pk)
+            if record.t_shuffle == slot and self._record_eligible(record, r + 1):
+                cert = self._issue(record, self.scheme.keypair(key_id).sk, r + 1)
+                self.certificates[key_id] = cert
+                redrawn.add(key_id)
+            else:
+                cert = self.certificates.get(key_id)
+                if cert is None:
+                    continue
+            by_shard[cert.shard - 1].append(cert)
+        self.by_shard = by_shard
         return self.seeds, redrawn
 
     # -- views ---------------------------------------------------------------
 
-    def members_of(self, shard: int) -> set[PublicKey]:
-        return {pk for pk, cert in self.certificates.items() if cert.shard == shard}
-
     def shard_counts(self) -> list[int]:
-        counts = [0] * self.m
-        for cert in self.certificates.values():
-            counts[cert.shard - 1] += 1
-        return counts
+        return [len(certs) for certs in self.by_shard]
 
 
 def golden_vector_text(

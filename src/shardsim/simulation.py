@@ -175,7 +175,7 @@ class Simulation:
         self.scheme = SignatureScheme()
         self.mint = self.scheme.keygen("mint")
         self.clients = [self.scheme.keygen(f"u{i:05d}") for i in range(cfg.n)]
-        self.by_pk = {kp.pk: kp for kp in self.clients}
+        self.by_id = {kp.pk.id: kp for kp in self.clients}
         self.spec = PartitionSpec(cfg.m)
         self.intervals = [self.spec.interval(i) for i in range(1, cfg.m + 1)]
         self.route = self._make_router()
@@ -185,7 +185,7 @@ class Simulation:
         )
         n_red = int(cfg.byzantine_fraction * cfg.n)
         red_idx = adv_rng.choice(cfg.n, size=n_red, replace=False) if n_red else []
-        self.red: set[PublicKey] = {self.clients[int(i)].pk for i in red_idx}
+        self.red: set[str] = {self.clients[int(i)].pk.id for i in red_idx}
         self._monitor_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _MONITOR_STREAM])
         )
@@ -254,8 +254,7 @@ class Simulation:
 
     def _participations(self, shard: int) -> list[MembershipCertificate]:
         """Certificates the shard's members present, in key-id order."""
-        members = sorted(self.membership.members_of(shard), key=lambda k: k.id)
-        return [self.membership.certificates[pk] for pk in members]
+        return self.membership.by_shard[shard - 1]
 
     def decide_sub_block(
         self,
@@ -278,7 +277,7 @@ class Simulation:
             if self.membership.verify_member(p.pk, p.sigma, p.shard, r)
             and p.shard == shard
         ]
-        byz = sum(1 for pk in certified if pk in self.red)
+        byz = sum(1 for pk in certified if pk.id in self.red)
         if not certified:
             return Block.empty(), [], 0, None
         breach = None
@@ -302,9 +301,9 @@ class Simulation:
             return greedy_admissible_block(pool, ctx)
         interval = self.intervals[shard - 1]
         reds_here = [
-            self.by_pk[pk]
-            for pk in sorted(self.red, key=lambda k: k.id)
-            if interval.contains(pk)
+            self.by_id[key_id]
+            for key_id in sorted(self.red)
+            if interval.contains(self.by_id[key_id].pk)
         ]
         victims = [
             kp for kp in reds_here if self.global_ctx.balance(kp.pk) >= 1
@@ -439,9 +438,10 @@ class Simulation:
         for shard in range(1, cfg.m + 1):
             empty = len(gb.sub_block(shard)) == 0
             leader = None
-            if not empty and certified_by_shard[shard - 1]:
-                leader_pk = min(certified_by_shard[shard - 1], key=lambda k: k.id)
-                leader = self.by_pk[leader_pk]
+            certified = certified_by_shard[shard - 1]
+            if not empty and certified:
+                # Certified members are in key-id order: the first one leads.
+                leader = self.by_id[certified[0].id]
             seed = self.membership.seeds.shard_seeds[shard - 1]
             new_seeds.append(
                 evolve_shard_seed(seed, r, sub_block_empty=empty or leader is None, leader=leader)

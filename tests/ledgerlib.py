@@ -1,10 +1,10 @@
 """Ledger contexts rebuilt from another context's entries, for the tests.
 
-Each helper replays entries through the public ``append``, so it is an
-independent reformulation of what the incremental context holds.
+Each context helper replays entries through the public ``append``, so it is
+an independent reformulation of what the incremental context holds.
 """
 
-from shardsim.ledger import Block, LedgerContext
+from shardsim.ledger import Block, LedgerContext, Transaction
 
 
 def replay(ctx: LedgerContext, keep=None) -> LedgerContext:
@@ -31,3 +31,18 @@ def restricted(ctx: LedgerContext, interval) -> LedgerContext:
         lambda tx: interval.contains(tx.sender)
         or any(interval.contains(out.to) for out in tx.outputs),
     )
+
+
+def support(interval, ctx: LedgerContext) -> set[Transaction]:
+    """Every context transaction whose sender or any recipient lies in ``interval``.
+
+    Over-approximates the exact dependency set: admissibility of any block
+    drawn from the interval's senders is unchanged when the context is
+    restricted to this set.
+    """
+    contains = interval.contains
+    return {
+        tx
+        for tx in ctx.iter_txs()
+        if contains(tx.sender) or any(contains(out.to) for out in tx.outputs)
+    }

@@ -23,12 +23,11 @@ from shardsim.ledger import (
     canonical_tx_bytes,
     greedy_admissible_block,
     is_competing,
-    support,
     verify,
 )
 from shardsim.partition import PartitionSpec
 
-from ledgerlib import replay, restricted
+from ledgerlib import replay, restricted, support
 
 from conftest import funded_context, make_clients, competing_pairs
 
@@ -97,6 +96,47 @@ def test_canonical_bytes_sort_outputs(scheme):
     one = canonical_tx_bytes("t", kp.pk, (TxOutput(a, 1), TxOutput(b, 2)))
     two = canonical_tx_bytes("t", kp.pk, (TxOutput(b, 2), TxOutput(a, 1)))
     assert one == two
+
+
+def _reference_tx_bytes(tx_id, sender, outputs):
+    """The canonical serialisation as first written: sort, then prefix each field."""
+
+    def length_prefixed(chunk):
+        return len(chunk).to_bytes(4, "big") + chunk
+
+    parts = [length_prefixed(tx_id.encode()), length_prefixed(sender.id.encode())]
+    for out in sorted(outputs, key=lambda o: (o.to.id, o.amount)):
+        parts.append(length_prefixed(out.to.id.encode()))
+        parts.append(out.amount.to_bytes(8, "big"))
+    return b"".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tx_id=st.text(min_size=0, max_size=12),
+    outputs=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "bb", "é", ""]), st.integers(0, 2**40)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_canonical_bytes_match_reference_formulation(tx_id, outputs):
+    sender = PublicKey.from_id("sender")
+    outs = tuple(TxOutput(PublicKey.from_id(to), amount) for to, amount in outputs)
+    expect = _reference_tx_bytes(tx_id, sender, outs)
+    assert canonical_tx_bytes(tx_id, sender, outs) == expect
+    assert canonical_tx_bytes(tx_id, sender, outs[::-1]) == expect
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_canonical_bytes_equal_recipients_reversed_inputs(count):
+    # One recipient id, distinct amounts: the order rests on the amounts alone.
+    sender = PublicKey.from_id("s")
+    to = PublicKey.from_id("r")
+    outs = tuple(TxOutput(to, amount) for amount in range(count, 0, -1))
+    expect = _reference_tx_bytes("t", sender, outs)
+    assert canonical_tx_bytes("t", sender, outs) == expect
+    assert canonical_tx_bytes("t", sender, outs[::-1]) == expect
 
 
 # -- hashing, totals and key ids ----------------------------------------------

@@ -137,7 +137,7 @@ def test_certificate_constant_within_personal_epoch():
         by_round[r] = {kp.pk: mem.get_membership(kp, r) for kp in kps}
         _advance(mem, 1)
     for kp in kps:
-        t_shuffle = mem.records[kp.pk].t_shuffle
+        t_shuffle = mem.records[kp.pk.id].t_shuffle
         for r in range(1, 21):
             cert = by_round[r][kp.pk]
             start = max(1, r - ((r % 5) - t_shuffle) % 5)
@@ -176,7 +176,7 @@ def test_wrong_epoch_seed_rejected():
     shard = shard_index(unit_hash(sigma), mem.m)
     # A signature over round 2's seed does not certify an epoch anchored
     # at round 1.
-    t_shuffle = mem.records[kp.pk].t_shuffle
+    t_shuffle = mem.records[kp.pk.id].t_shuffle
     r = 2
     if mem.epoch_start(t_shuffle, r) != r:
         assert not mem.verify_member(kp.pk, sigma, shard, 1)
@@ -190,7 +190,7 @@ def test_certificate_expires_at_epoch_rollover():
     expired = 0
     for kp in kps:
         cert = certs[kp.pk]
-        t_shuffle = mem.records[kp.pk].t_shuffle
+        t_shuffle = mem.records[kp.pk.id].t_shuffle
         if mem.epoch_start(t_shuffle, r) > 1:
             assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, r)
             expired += 1
@@ -213,7 +213,7 @@ def _uncached_verify(mem, pk, sigma, shard, r):
         return False
     if shard_index(unit_hash(sigma), mem.m) != shard:
         return False
-    seed = mem._seed_history.get(mem.epoch_start(mem.records[pk].t_shuffle, r))
+    seed = mem._seed_history.get(mem.epoch_start(mem.records[pk.id].t_shuffle, r))
     return seed is not None and mem.scheme.verify(pk, seed, sigma)
 
 
@@ -259,11 +259,11 @@ def test_memoized_verify_equals_uncached_rule(m, t_lease, joins, rounds, rnd):
     joiners = [scheme.keygen(f"j{i:02d}") for i in range(len(joins))]
     for r in range(1, rounds + 1):
         mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
-        seated = [kp for kp in kps + joiners if kp.pk in mem.records]
+        seated = [kp for kp in kps + joiners if kp.pk.id in mem.records]
         for _ in range(3 * len(seated)):
             kp, other = rnd.choice(seated), rnd.choice(seated)
             probe = max(1, r + rnd.randint(-t_lease, t_lease))
-            t_shuffle = mem.records[other.pk].t_shuffle
+            t_shuffle = mem.records[other.pk.id].t_shuffle
             if t_shuffle is None:
                 continue
             seed = mem._seed_history.get(mem.epoch_start(t_shuffle, probe))
@@ -288,7 +288,7 @@ def test_registration_benches_until_first_slot():
     assert mem.round == 10
     joiner = scheme.keygen("joiner")
     mem.register_nodes(10, [joiner.pk])
-    record = mem.records[joiner.pk]
+    record = mem.records[joiner.pk.id]
     assert record.t_join == 10
     assert record.t_shuffle is None
 
@@ -300,7 +300,7 @@ def test_registration_benches_until_first_slot():
 
     # Benching ended at round 15: slot drawn from round 15's seed.
     assert mem.round == 15
-    record = mem.records[joiner.pk]
+    record = mem.records[joiner.pk.id]
     assert record.t_shuffle == shuffle_slot(joiner.pk, mem.seeds.global_seed, 5)
     first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
     assert 15 <= first <= 19
@@ -316,7 +316,7 @@ def test_registration_not_verifiable_before_lease_age():
     joiner = scheme.keygen("early")
     mem.register_nodes(10, [joiner.pk])
     _advance(mem, 5)
-    record = mem.records[joiner.pk]
+    record = mem.records[joiner.pk.id]
     first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
     _advance(mem, first - mem.round)
     cert = mem.get_membership(joiner, first)
@@ -336,7 +336,7 @@ def test_verify_member_implies_eligible_for_joiners():
         if r <= len(joiners):
             mem.register_nodes(r, [joiners[r - 1].pk])
         for kp in joiners:
-            record = mem.records.get(kp.pk)
+            record = mem.records.get(kp.pk.id)
             if record is None or record.t_shuffle is None:
                 continue
             seed = mem._seed_history.get(mem.epoch_start(record.t_shuffle, r))
@@ -408,12 +408,12 @@ def test_eager_redraws_everyone_each_round():
                 for seed in mem.seeds.shard_seeds
             ),
         )
-        assert redrawn == {kp.pk for kp in kps}
+        assert redrawn == {kp.pk.id for kp in kps}
 
 
 def test_lazy_redraws_each_node_once_per_lease_window():
     _, kps, mem = _fresh(t_lease=5, n=40)
-    redraw_count = {kp.pk: 0 for kp in kps}
+    redraw_count = {kp.pk.id: 0 for kp in kps}
     for r in range(1, 11):
         _, redrawn = mem.end_of_round(
             r,
@@ -457,6 +457,62 @@ def test_redraw_refreshes_certificates():
         assert mem.certificates[pk].sigma == before[pk]
 
 
+# -- shared issuer and per-shard lists ------------------------------------------
+
+
+def _next_seeds(mem, r):
+    return [evolve_shard_seed(seed, r, sub_block_empty=True) for seed in mem.seeds.shard_seeds]
+
+
+@pytest.mark.parametrize("t_lease", [1, 3, 5])
+def test_redrawn_certificates_equal_issued_ones(t_lease):
+    # Joiner ids sort between the genesis ids, so seating them reorders nothing.
+    scheme, kps, mem = _fresh(m=4, n=24, t_lease=t_lease)
+    joiners = [scheme.keygen(f"n{i:05d}x") for i in range(0, 8, 2)]
+    by_id = {kp.pk.id: kp for kp in kps + joiners}
+    seated_joiners = 0
+    for r in range(1, 16):
+        if r <= len(joiners):
+            mem.register_nodes(r, [joiners[r - 1].pk])
+        _, redrawn = mem.end_of_round(r, _next_seeds(mem, r))
+        assert redrawn
+        for key_id in redrawn:
+            cert = mem.certificates[key_id]
+            assert cert == mem.get_membership(by_id[key_id], r + 1)
+            fresh = PublicKey.from_id(key_id)
+            for shard in (cert.shard, cert.shard % mem.m + 1):
+                expect = shard == cert.shard
+                assert mem.verify_member(fresh, cert.sigma, shard, r + 1) is expect
+                assert mem.verify_member(cert.pk, cert.sigma, shard, r + 1) is expect
+            seated_joiners += key_id.endswith("x")
+    assert seated_joiners > 0
+
+
+def _scanned_by_shard(mem):
+    """Each shard's certificates from a from-scratch scan, in key-id order."""
+    certs = [cert for _, cert in sorted(mem.certificates.items())]
+    return [[c for c in certs if c.shard == shard] for shard in range(1, mem.m + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    t_lease=st.sampled_from([1, 3, 5]),
+    joins=st.lists(st.integers(1, 12), max_size=6),
+    rounds=st.integers(1, 16),
+)
+def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
+    scheme, _, mem = _fresh(m=m, n=8, t_lease=t_lease)
+    joiners = [scheme.keygen(f"n{i:05d}x") for i in range(len(joins))]
+    assert mem.by_shard == _scanned_by_shard(mem)
+    for r in range(1, rounds + 1):
+        mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
+        mem.end_of_round(r, _next_seeds(mem, r))
+        assert mem.by_shard == _scanned_by_shard(mem)
+        assert mem.shard_counts() == [len(certs) for certs in mem.by_shard]
+        assert sum(mem.shard_counts()) == len(mem.certificates)
+
+
 # -- assignment distribution --------------------------------------------------
 
 
@@ -468,9 +524,9 @@ def test_assignment_uniform_chi_square():
 
 def test_consecutive_epoch_draws_uncorrelated():
     _, kps, mem = _fresh(m=4, n=4000, t_lease=1, prefix="c")
-    first = [mem.certificates[kp.pk].shard for kp in kps]
+    first = [mem.certificates[kp.pk.id].shard for kp in kps]
     _advance(mem, 1)
-    second = [mem.certificates[kp.pk].shard for kp in kps]
+    second = [mem.certificates[kp.pk.id].shard for kp in kps]
     rho = scipy.stats.pearsonr(first, second).statistic
     assert abs(rho) < 3 / math.sqrt(len(kps)), rho
 
