@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .adversary import AdversaryState, plan_attack
+from .membership import committee_fails
 
 # One round a minute for a million years.
 ROUNDS_PER_MILLION_YEARS = 5.26e11
@@ -35,6 +36,9 @@ _STATIC_STREAM = 10
 _ITERATED_STREAM = 11
 
 STRATEGIES = ("none", "static", "adaptive-greedy", "adaptive-random")
+
+# Trials per batch of the static experiment, to bound memory.
+_STATIC_CHUNK = 200_000
 
 
 def chernoff_tail_bounds(n: int, m: int) -> tuple[float, float]:
@@ -102,12 +106,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _failing_bins(red_counts, total_counts):
-    # Failure: red/(red+blue) >= 1/3 with at least one red present. Works
-    # elementwise on count arrays and on plain ints alike.
-    return (3 * red_counts >= total_counts) & (red_counts > 0)
-
-
 def _ratio_terms(red_counts: np.ndarray, total_counts: np.ndarray) -> tuple[float, int]:
     """Sum and number of the red ratios of the occupied bins."""
     occupied = total_counts > 0
@@ -138,12 +136,11 @@ def mc_static_failure_rate(
     red_fraction: float = 0.25,
     trials: int = 10_000,
     seed: int = 0,
-    chunk: int = 200_000,
 ) -> StaticBinsResult:
     """One-shot experiment: throw reds and blues uniformly, count failures.
 
-    A trial fails when any bin's red share reaches one third. Vectorized
-    over trials in chunks to bound memory.
+    A trial fails when any bin fails ``committee_fails``. Vectorized over
+    trials in batches of ``_STATIC_CHUNK`` to bound memory.
     """
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
@@ -156,11 +153,11 @@ def mc_static_failure_rate(
     ratio_count = 0
     done = 0
     while done < trials:
-        size = min(chunk, trials - done)
+        size = min(_STATIC_CHUNK, trials - done)
         reds = rng.multinomial(n_red, pvals, size=size)
         blues = rng.multinomial(n_blue, pvals, size=size)
         totals = reds + blues
-        failures += int(_failing_bins(reds, totals).any(axis=1).sum())
+        failures += int(committee_fails(reds, totals).any(axis=1).sum())
         terms = _ratio_terms(reds, totals)
         ratio_sum += terms[0]
         ratio_count += terms[1]
@@ -269,9 +266,9 @@ def mc_iterated_lazy(
                 if movers.size:
                     bins[movers] = rng.integers(0, m, movers.size)
                     state.recount()
-            failed = any(map(_failing_bins, state.red_counts, state.totals))
+            failed = any(map(committee_fails, state.red_counts, state.totals))
             if state.complete_due(r):
-                failed = any(map(_failing_bins, state.red_counts, state.totals)) or failed
+                failed = any(map(committee_fails, state.red_counts, state.totals)) or failed
             if failed:
                 result.failure_rounds.append(r)
             plan = plan_attack(strategy, state, attack_size, rng)
@@ -286,7 +283,7 @@ def mc_iterated_lazy(
     else:
         blocks = _static_blocks(bins, state.red, groups, rng, m, rounds, wanted)
         for r0, red_counts, totals in blocks:
-            failing = _failing_bins(red_counts, totals).any(axis=1)
+            failing = committee_fails(red_counts, totals).any(axis=1)
             result.failure_rounds.extend((r0 + np.flatnonzero(failing)).tolist())
             last = r0 + len(totals) - 1
             if last in wanted:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-HASH_BYTES = 32
-
 # Width of the digest prefix that ``unit_hash`` reads.
 UNIT_BITS = 64
 

@@ -18,7 +18,7 @@ transaction's total is fixed at construction and it hashes by ``tx_id``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .keys import PublicKey, KeyPair, SignatureScheme
 
@@ -142,12 +142,6 @@ class GlobalBlock:
     def sub_block(self, i: int) -> Block:
         return self.sub_blocks[i - 1]
 
-    def all_txs(self) -> frozenset[Transaction]:
-        out: set[Transaction] = set()
-        for sub in self.sub_blocks:
-            out.update(sub.txs)
-        return frozenset(out)
-
     def tx_id_disjoint(self) -> bool:
         total = sum(len(sub) for sub in self.sub_blocks)
         return len({tx.tx_id for sub in self.sub_blocks for tx in sub}) == total
@@ -171,14 +165,10 @@ class LedgerContext:
     is single-writer.
     """
 
-    def __init__(
-        self,
-        scheme: Optional[SignatureScheme] = None,
-        mint: Optional[PublicKey] = None,
-    ) -> None:
+    def __init__(self, scheme: SignatureScheme, mint: PublicKey) -> None:
         self.scheme = scheme
         self.mint = mint
-        self._mint_id = mint.id if mint is not None else None
+        self._mint_id = mint.id
         self.entries: list[ContextEntry] = []
         self._balances: dict[str, int] = {}
         self._seen: set[str] = set()
@@ -195,9 +185,7 @@ class LedgerContext:
         """Balance per key id; the mint has none."""
         return self._balances
 
-    def append(self, block: Block, round: Optional[int] = None, remote: bool = False) -> None:
-        if round is None:
-            round = sum(1 for e in self.entries if not e.remote)
+    def append(self, block: Block, round: int, remote: bool = False) -> None:
         self.entries.append(ContextEntry(round, block, remote))
         for tx in block:
             self._apply(tx)
@@ -224,26 +212,42 @@ class LedgerContext:
         return sum(len(e.block) for e in self.entries if e.round >= min_round)
 
 
-def verify(block: Block, ctx: LedgerContext) -> bool:
-    """Admissibility of ``block`` against ``ctx``.
+def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
+    """The admission rule: the transactions of ``txs`` it keeps, in order.
 
-    True iff every signature is valid, no tx_id was already seen, and each
-    sender's total spend inside the block fits its context balance. The
-    mint key is exempt from the budget check. Malformed input yields False,
-    never an exception.
+    A transaction is kept iff its tx_id is neither seen in ``ctx`` nor
+    already kept, its signature is valid, and its sender's running spend
+    over the kept transactions stays within the sender's context balance.
+    The mint key is exempt from the budget check.
     """
-    seen, scheme, mint_id = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id
+    seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id, ctx.balances
     spend: dict[str, int] = {}
-    for tx in block:
-        if tx.tx_id in seen:
-            return False
-        if scheme is not None and not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
-            return False
+    kept: list[Transaction] = []
+    kept_ids: set[str] = set()
+    for tx in txs:
+        if tx.tx_id in seen or tx.tx_id in kept_ids:
+            continue
+        if not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
+            continue
         sender = tx.sender.id
         if sender != mint_id:
-            spend[sender] = spend.get(sender, 0) + tx.total_amount
-    balances = ctx.balances
-    return all(amount <= balances.get(sid, 0) for sid, amount in spend.items())
+            after = spend.get(sender, 0) + tx.total_amount
+            if after > balances.get(sender, 0):
+                continue
+            spend[sender] = after
+        kept.append(tx)
+        kept_ids.add(tx.tx_id)
+    return kept
+
+
+def verify(block: Block, ctx: LedgerContext) -> bool:
+    """Admissibility of ``block`` against ``ctx``: the admission rule keeps all of it.
+
+    Amounts are non-negative, so no sender's running spend exceeds its total
+    and the verdict does not depend on iteration order. Malformed input
+    yields False, never an exception.
+    """
+    return len(_admit(block, ctx)) == len(block)
 
 
 def is_competing(
@@ -277,27 +281,10 @@ def _admissible_with(
 
 
 def greedy_admissible_block(pool: Iterable[Transaction], ctx: LedgerContext) -> Block:
-    """Deterministic admissible block: scan the pool in tx_id order.
+    """Deterministic admissible block: the admission rule over the pool in tx_id order.
 
     Exactly equivalent to growing a block and re-running verify after each
-    candidate, but incremental. This is the idealized honest consensus
-    output, shared by the sharded run and the unsharded oracle.
+    candidate. This is the idealized honest consensus output, shared by
+    the sharded run and the unsharded oracle.
     """
-    seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id, ctx.balances
-    spend: dict[str, int] = {}
-    chosen: list[Transaction] = []
-    chosen_ids: set[str] = set()
-    for tx in sorted(pool, key=lambda t: t.tx_id):
-        if tx.tx_id in seen or tx.tx_id in chosen_ids:
-            continue
-        if scheme is not None and not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
-            continue
-        sender = tx.sender.id
-        if sender != mint_id:
-            after = spend.get(sender, 0) + tx.total_amount
-            if after > balances.get(sender, 0):
-                continue
-            spend[sender] = after
-        chosen.append(tx)
-        chosen_ids.add(tx.tx_id)
-    return Block.of(chosen)
+    return Block.of(_admit(sorted(pool, key=lambda t: t.tx_id), ctx))

@@ -46,6 +46,16 @@ class EligibilityError(MembershipError):
     """Certificate requested for a node that may not participate yet."""
 
 
+def committee_fails(red, total):
+    """A committee fails when reds reach a third of it, at least one red present.
+
+    The one committee-failure rule: the simulator's honest-majority monitor
+    and the bins analyses both apply it. Works elementwise on count arrays
+    and on plain ints alike.
+    """
+    return (3 * red >= total) & (red > 0)
+
+
 @dataclass(frozen=True)
 class SeedState:
     """Per-shard seeds for one round plus the global seed derived from them."""

@@ -32,13 +32,12 @@ from .ledger import (
     Block,
     GlobalBlock,
     LedgerContext,
-    LedgerError,
     Transaction,
     build_transaction,
     greedy_admissible_block,
     verify,
 )
-from .membership import Membership, MembershipCertificate, evolve_shard_seed
+from .membership import Membership, MembershipCertificate, committee_fails, evolve_shard_seed
 from .partition import PartitionSpec, shard_index
 from .sync import eager_collect_support, lazy_collect_support
 from .workload import WorkloadParams, genesis_block, round_transactions
@@ -65,10 +64,8 @@ class RunConfig:
     seed: int = 0
     sync: str = "eager"
     t_lease: int = 1
-    t_takeover: Optional[int] = None
     byzantine_fraction: float = 0.0
     adversary: str = "none"
-    h_p: float = 2 / 3
     tx_rate: int = 20
     max_amount: int = 50
     initial_balance: int = 1000
@@ -88,8 +85,8 @@ class RunConfig:
         return WorkloadParams(self.tx_rate, self.max_amount, self.initial_balance)
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
+        if self.n < 2:
+            raise ConfigError("n must be at least 2")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if self.rounds < 0:
@@ -102,15 +99,13 @@ class RunConfig:
             raise ConfigError("eager sync means a one-round lease; set t_lease = 1")
         if not 0.0 <= self.byzantine_fraction < 1.0:
             raise ConfigError("byzantine_fraction must lie in [0, 1)")
-        if not 0.0 < self.h_p <= 1.0:
-            raise ConfigError("h_p must lie in (0, 1]")
-        if self.adversary.startswith("adaptive"):
-            if self.t_takeover is None:
-                raise ConfigError("adaptive adversaries need t_takeover")
-            if self.t_lease > self.t_takeover:
-                raise ConfigError(
-                    "adaptive adversaries require t_lease <= t_takeover"
-                )
+        if self.adversary not in SIMULATOR_ADVERSARIES:
+            raise ConfigError(
+                f"adversary {self.adversary!r} is not playable in the protocol "
+                "simulator; adaptive strategies live in the bins analyses"
+            )
+        if self.adversary == "double-spend" and self.n < 3:
+            raise ConfigError("the double-spend adversary needs n of at least 3")
         if self.tx_rate < 0:
             raise ConfigError("tx_rate must be non-negative")
         if self.max_amount < 1:
@@ -166,11 +161,6 @@ class Simulation:
 
     def __init__(self, cfg: RunConfig) -> None:
         cfg.validate()
-        if cfg.adversary not in SIMULATOR_ADVERSARIES:
-            raise ConfigError(
-                f"adversary {cfg.adversary!r} is not playable in the protocol "
-                "simulator; adaptive strategies live in the bins analyses"
-            )
         self.cfg = cfg
         self.scheme = SignatureScheme()
         self.mint = self.scheme.keygen("mint")
@@ -220,12 +210,12 @@ class Simulation:
             return lambda tx: shard_index(tx.outputs[0].to.position, self.cfg.m)
         return self.spec.which_part
 
-    def _collect_support(self, gb: GlobalBlock, shard: int, r: int) -> Block:
+    def _collect_support(self, published: Block, shard: int, r: int) -> Block:
         if self.cfg.negative_mode == "broken-sync" and r > 0:
             return Block.empty()
         if self.cfg.sync == "eager":
-            return eager_collect_support(gb, self.intervals[shard - 1])
-        return lazy_collect_support(gb, self.intervals[shard - 1])
+            return eager_collect_support(published, self.intervals[shard - 1])
+        return lazy_collect_support(published, self.intervals[shard - 1])
 
     def _bootstrap(self) -> None:
         # Bootstrap is always honest, even in negative modes: every shard
@@ -235,26 +225,20 @@ class Simulation:
         b0 = genesis_block(
             self.scheme, self.mint, self.clients, self.cfg.initial_balance
         )
-        gb0 = GlobalBlock(tuple(Block.of(p) for p in self.spec.part(b0)))
-        self.global_ctx.append(Block(b0.txs), round=0)
-        for i in range(1, self.cfg.m + 1):
-            self._append_local(gb0, i, 0)
+        self.global_ctx.append(b0, round=0)
+        for i, part in enumerate(self.spec.part(b0), start=1):
+            self._append_local(Block.of(part), b0, i, 0)
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in b0)))
 
-    def _append_local(self, gb: GlobalBlock, shard: int, r: int) -> None:
+    def _append_local(self, own: Block, published: Block, shard: int, r: int) -> None:
         """Append the shard's own sub-block, then its remote support."""
-        own = gb.sub_block(shard)
         self.local_ctx[shard - 1].append(own, round=r)
         self._own_txs[shard - 1].extend(own)
         self.local_ctx[shard - 1].append(
-            self._collect_support(gb, shard, r), round=r, remote=True
+            self._collect_support(published, shard, r), round=r, remote=True
         )
 
     # -- per-round machinery -------------------------------------------------
-
-    def _participations(self, shard: int) -> list[MembershipCertificate]:
-        """Certificates the shard's members present, in key-id order."""
-        return self.membership.by_shard[shard - 1]
 
     def decide_sub_block(
         self,
@@ -281,7 +265,7 @@ class Simulation:
         if not certified:
             return Block.empty(), [], 0, None
         breach = None
-        if byz >= (1.0 - self.cfg.h_p) * len(certified) - 1e-12:
+        if committee_fails(byz, len(certified)):
             breach = MonitorBreach(
                 r,
                 shard,
@@ -385,7 +369,8 @@ class Simulation:
         sub_blocks: list[Block] = []
         certified_by_shard: list[list[PublicKey]] = []
         for shard in range(1, cfg.m + 1):
-            participations = self._participations(shard)
+            # Certificates the shard's members present, in key-id order.
+            participations = self.membership.by_shard[shard - 1]
             block, certified, byz, breach = self.decide_sub_block(
                 shard, participations, parts[shard - 1], r
             )
@@ -409,26 +394,21 @@ class Simulation:
             )
 
         gb = GlobalBlock(tuple(sub_blocks))
-        try:
-            union = Block.of(gb.all_txs())
-            admissible = gb.tx_id_disjoint() and verify(union, self.global_ctx)
-        except LedgerError:
-            union = None
-            admissible = False
-        if not admissible:
+        # The published block keeps one transaction per tx_id; sub-blocks
+        # that collide on an id fail the disjointness check below. Copying
+        # a set sizes the frozenset's table to fit (half of one grown in place).
+        published = Block.of(set({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values()))
+        if not (gb.tx_id_disjoint() and verify(published, self.global_ctx)):
             breaches.append(
                 MonitorBreach(
                     r, 0, "global-admissibility", "global block fails full-ledger verify"
                 )
             )
-        if union is None:
-            # Colliding tx_ids across sub-blocks: record what is recordable.
-            union = Block.of({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values())
-        self.global_ctx.append(union, round=r)
-        self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in union)))
+        self.global_ctx.append(published, round=r)
+        self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in published)))
 
         for shard in range(1, cfg.m + 1):
-            self._append_local(gb, shard, r)
+            self._append_local(sub_blocks[shard - 1], published, shard, r)
 
         if cfg.containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))

@@ -139,6 +139,22 @@ def test_simulate_breach_exit(tmp_path):
     assert _summary(out / "summary.csv")["halted_round"] != ""
 
 
+def test_simulate_colliding_adversary_blocks_is_a_breach(tmp_path, capsys):
+    # Two shards compromised in round 1 both mint ds-r000001a and -b.
+    cfg = _write(
+        tmp_path,
+        "[run]\nn = 40\nm = 4\nrounds = 20\nseed = 0\n"
+        "byzantine_fraction = 0.5\nadversary = double-spend\n",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_BREACH
+    kinds = {row[2] for row in _rows(out / "breaches.csv")[1:]}
+    assert {"honest-majority", "global-admissibility"} <= kinds
+    assert len(_rows(out / "rounds.csv")) == 1 + 4
+    assert _summary(out / "summary.csv")["halted_round"] == "1"
+    assert "halted at round 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -148,7 +164,11 @@ def test_simulate_breach_exit(tmp_path):
         "[run]\nsync = gossip\n",       # rejected by validation
         "[run]\nsync = eager\nt_lease = 4\n",
         "[membership]\ngenesis_seed = not-hex\n",
+        # t_takeover is not a [run] key: the simulator plays no adaptive adversary.
         "[run]\nadversary = adaptive-greedy\nt_takeover = 3\nt_lease = 5\nsync = lazy\n",
+        "[run]\nadversary = adaptive-greedy\nt_lease = 5\nsync = lazy\n",
+        "[run]\nn = 1\n",
+        "[run]\nn = 2\nadversary = double-spend\nbyzantine_fraction = 0.5\n",
     ],
 )
 def test_simulate_config_rejection(tmp_path, text, capsys):

@@ -217,7 +217,7 @@ def test_replayed_tx_id_rejected(scheme, mint):
     to = scheme.keygen("r").pk
     ctx = funded_context(scheme, mint, [kp], 100)
     tx = build_transaction(scheme, kp, [(to, 1)], "t1")
-    ctx.append(Block.of([tx]))
+    ctx.append(Block.of([tx]), round=1)
     again = build_transaction(scheme, kp, [(to, 2)], "t1")
     assert not verify(Block.of([again]), ctx)
 
@@ -265,8 +265,8 @@ def test_balance_send_and_receive(scheme, mint):
     kp = scheme.keygen("s")
     other = scheme.keygen("o")
     ctx = funded_context(scheme, mint, [kp, other], 100)
-    ctx.append(Block.of([build_transaction(scheme, kp, [(other.pk, 30)], "t1")]))
-    ctx.append(Block.of([build_transaction(scheme, other, [(kp.pk, 10)], "t2")]))
+    ctx.append(Block.of([build_transaction(scheme, kp, [(other.pk, 30)], "t1")]), round=1)
+    ctx.append(Block.of([build_transaction(scheme, other, [(kp.pk, 10)], "t2")]), round=2)
     assert ctx.balance(kp.pk) == 80
     assert ctx.balance(other.pk) == 120
 
@@ -281,7 +281,7 @@ def _random_history(scheme, mint, seed, rounds=8):
     clients = make_clients(scheme, 10, prefix="h")
     ctx = funded_context(scheme, mint, clients, 120)
     counter = 0
-    for _ in range(rounds):
+    for r in range(1, rounds + 1):
         pool = []
         for _ in range(rng.randrange(1, 8)):
             sender = clients[rng.randrange(len(clients))]
@@ -291,7 +291,7 @@ def _random_history(scheme, mint, seed, rounds=8):
                 build_transaction(scheme, sender, [(to, amount)], f"h{counter:05d}")
             )
             counter += 1
-        ctx.append(greedy_admissible_block(pool, ctx))
+        ctx.append(greedy_admissible_block(pool, ctx), round=r)
     return ctx, clients
 
 
@@ -370,7 +370,7 @@ def test_prefix_residue(scheme, mint):
         prefix = set(rng.sample(txs, rng.randrange(0, len(txs) + 1)))
         rest = [tx for tx in txs if tx not in prefix]
         stepped = replay(ctx)
-        stepped.append(Block.of(prefix))
+        stepped.append(Block.of(prefix), round=len(stepped))
         assert verify(Block.of(rest), stepped)
 
 
@@ -589,6 +589,51 @@ def test_greedy_equals_grow_and_verify_property(specs):
     assert got.txs == frozenset(_grow_and_verify(pool, _PROP_CTX))
 
 
+def _verify_before_admission_rule(block, ctx):
+    # verify as written before it shared the admission loop with greedy
+    # selection: reject on a seen id or a bad signature, then compare each
+    # sender's total spend with its balance. Kept as the reference.
+    seen, scheme, mint_id = ctx.seen_tx_ids, ctx.scheme, ctx.mint.id
+    spend = {}
+    for tx in block:
+        if tx.tx_id in seen:
+            return False
+        if not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
+            return False
+        sender = tx.sender.id
+        if sender != mint_id:
+            spend[sender] = spend.get(sender, 0) + tx.total_amount
+    balances = ctx.balances
+    return all(amount <= balances.get(sid, 0) for sid, amount in spend.items())
+
+
+# (tx_id index, sender, outputs, tampered); sender 10 is the mint, and
+# amounts may be zero.
+_payment_specs = st.tuples(
+    st.integers(0, 30),
+    st.integers(0, 10),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 60)), min_size=1, max_size=3),
+    st.integers(0, 7).map(lambda k: k == 0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=st.lists(_payment_specs, max_size=8, unique_by=lambda s: s[0]))
+def test_verify_equals_verify_before_admission_rule(specs):
+    txs = []
+    for idx, sender, outputs, tampered in specs:
+        tx_id = f"h{idx:05d}" if idx < _REPLAYS else f"p{idx:03d}"
+        kp = _PROP_MINT if sender == 10 else _PROP_CLIENTS[sender]
+        tx = build_transaction(
+            _PROP_SCHEME, kp, [(_PROP_CLIENTS[to].pk, amount) for to, amount in outputs], tx_id
+        )
+        if tampered:
+            tx = Transaction(tx.tx_id, tx.sender, tx.outputs, b"\x00" * 32)
+        txs.append(tx)
+    block = Block.of(txs)
+    assert verify(block, _PROP_CTX) == _verify_before_admission_rule(block, _PROP_CTX)
+
+
 def test_greedy_rejections_stay_inadmissible(scheme, mint):
     rng = random.Random(41)
     clients = make_clients(scheme, 5, prefix="j")
@@ -615,7 +660,7 @@ def test_greedy_skips_replays_and_bad_signatures(scheme, mint):
     to = scheme.keygen("r").pk
     ctx = funded_context(scheme, mint, [kp], 100)
     seen = build_transaction(scheme, kp, [(to, 1)], "old")
-    ctx.append(Block.of([seen]))
+    ctx.append(Block.of([seen]), round=1)
     replay = build_transaction(scheme, kp, [(to, 2)], "old")
     forged = Transaction("new", kp.pk, (TxOutput(to, 1),), b"\x00" * 32)
     fine = build_transaction(scheme, kp, [(to, 3)], "ok")
@@ -634,7 +679,6 @@ def test_global_block_views(scheme, mint):
     assert gb.m == 2
     assert gb.sub_block(1) == Block.of([tx])
     assert gb.sub_block(2) == Block.empty()
-    assert gb.all_txs() == frozenset([tx])
     assert gb.tx_id_disjoint()
 
 

@@ -2,10 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from shardsim.ledger import Block, build_transaction, verify
-from shardsim.membership import MembershipCertificate
+from shardsim.membership import MembershipCertificate, committee_fails
 from shardsim.partition import shard_index
 from shardsim.simulation import (
     ConfigError,
@@ -38,10 +39,10 @@ def _cfg(**kw) -> RunConfig:
         dict(sync="eager", t_lease=3),
         dict(byzantine_fraction=1.0),
         dict(byzantine_fraction=-0.1),
-        dict(h_p=0.0),
-        dict(h_p=1.5),
+        dict(n=1),
+        dict(adversary="double-spend", n=2),
         dict(adversary="adaptive-greedy"),
-        dict(adversary="adaptive-greedy", t_takeover=3, t_lease=5, sync="lazy"),
+        dict(adversary="sybil"),
         dict(tx_rate=-1),
         dict(max_amount=0),
         dict(initial_balance=-5),
@@ -60,10 +61,9 @@ def test_validate_accepts_defaults():
 
 
 def test_simulator_rejects_bins_only_adversaries():
-    cfg = _cfg(adversary="adaptive-greedy", t_takeover=10, sync="lazy", t_lease=5)
-    cfg.validate()  # the config itself is coherent
-    with pytest.raises(ConfigError):
-        Simulation(cfg)
+    for adversary in ("adaptive-greedy", "adaptive-random", "static"):
+        with pytest.raises(ConfigError, match="bins analyses"):
+            Simulation(_cfg(adversary=adversary, sync="lazy", t_lease=5))
 
 
 def test_containment_samples_default_policy():
@@ -198,7 +198,7 @@ def test_round_records_shape():
 
 def test_wrong_shard_certificates_are_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(1)
+    real = sim.membership.by_shard[0]
     assert real, "shard 1 should be populated"
     # Present shard 1's certificates as if they claimed shard 2 seats.
     forged = [MembershipCertificate(c.pk, c.shard, c.sigma, c.round) for c in real]
@@ -210,7 +210,7 @@ def test_wrong_shard_certificates_are_discarded():
 
 def test_tampered_sigma_is_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
-    real = sim._participations(1)
+    real = sim.membership.by_shard[0]
     forged = [MembershipCertificate(c.pk, c.shard, b"\x00" * 32, c.round) for c in real]
     block, certified, _, _ = sim.decide_sub_block(1, forged, set(), 1)
     assert certified == []
@@ -225,7 +225,7 @@ def test_competing_pool_resolves_to_lexicographic_winner():
     tx_a = build_transaction(sim.scheme, spender, [(others[0].pk, bal)], "dup-a")
     tx_b = build_transaction(sim.scheme, spender, [(others[1].pk, bal)], "dup-b")
     shard = sim.spec.which_part(tx_a)
-    parts = sim._participations(shard)
+    parts = sim.membership.by_shard[shard - 1]
     block, certified, _, _ = sim.decide_sub_block(shard, parts, {tx_a, tx_b}, 1)
     assert certified
     assert {tx.tx_id for tx in block} == {"dup-a"}
@@ -314,6 +314,40 @@ def test_double_spend_with_captured_shard_halts():
     assert "honest-majority" in kinds
     assert "global-admissibility" in kinds or "shard-legality" in kinds
     assert any(rec.byzantine > 0 for rec in res.records)
+
+
+def test_colliding_adversary_blocks_halt_with_breaches():
+    # Two shards compromised in round 1 both mint ds-r000001a and -b.
+    sim = Simulation(
+        _cfg(n=40, m=4, rounds=20, seed=0, byzantine_fraction=0.5, adversary="double-spend")
+    )
+    res = sim.run()
+    assert res.halted_round == 1
+    kinds = [b.kind for b in res.breaches]
+    assert kinds.count("honest-majority") >= 2
+    assert "global-admissibility" in kinds
+    # Every shard ships from the one published block.
+    published = sim.global_ctx.entries[-1].block
+    for ctx in sim.local_ctx:
+        assert ctx.entries[-1].remote and ctx.entries[-1].block.txs <= published.txs
+
+
+def _float_breach(byz, certified, h_p=2 / 3):
+    # The honest-majority test the simulator applied before committee_fails.
+    return byz >= (1.0 - h_p) * certified - 1e-12
+
+
+def test_committee_fails_equals_float_breach_test():
+    for certified in range(1, 2001):
+        byz = np.arange(certified + 1)
+        assert np.array_equal(committee_fails(byz, certified), _float_breach(byz, certified))
+    assert all(
+        committee_fails(byz, c) == _float_breach(byz, c)
+        for c in range(1, 100)
+        for byz in range(c + 1)
+    )
+    # A shard without certified members decides the empty block, no breach.
+    assert not committee_fails(0, 0)
 
 
 def test_byzantine_minority_stays_safe():

@@ -24,41 +24,35 @@ def _tx(sender_pos, recipient_positions, tx_id):
     return Transaction(tx_id, sender, outs, b"")
 
 
-def _global_block(m, txs):
-    spec = PartitionSpec(m)
-    return GlobalBlock(tuple(Block.of(part) for part in spec.part(txs)))
+def _interval(m, shard):
+    return PartitionSpec(m).interval(shard)
 
 
-def _interval(gb, shard):
-    return PartitionSpec(gb.m).interval(shard)
-
-
-def _random_global_block(m, count, seed):
+def _random_block(count, seed):
     rng = random.Random(seed)
-    txs = [
+    return Block.of(
         _tx(rng.randint(1, Q), [rng.randint(1, Q)], f"x{i:04d}")
         for i in range(count)
-    ]
-    return _global_block(m, txs), txs
+    )
 
 
 def test_single_shard_has_no_remote_support():
-    gb, _ = _random_global_block(1, 20, seed=1)
-    assert eager_collect_support(gb, _interval(gb, 1)).txs == frozenset()
-    assert lazy_collect_support(gb, _interval(gb, 1)).txs == frozenset()
+    published = _random_block(20, seed=1)
+    assert eager_collect_support(published, _interval(1, 1)).txs == frozenset()
+    assert lazy_collect_support(published, _interval(1, 1)).txs == frozenset()
 
 
 def test_eager_empty_when_all_senders_local():
-    txs = [_tx(Q // 10, [9 * Q // 10], "a"), _tx(Q // 5, [3 * Q // 10], "b")]
-    gb = _global_block(4, txs)
-    assert eager_collect_support(gb, _interval(gb, 1)).txs == frozenset()
+    published = Block.of([_tx(Q // 10, [9 * Q // 10], "a"), _tx(Q // 5, [3 * Q // 10], "b")])
+    assert eager_collect_support(published, _interval(4, 1)).txs == frozenset()
 
 
 def test_eager_union_with_own_sub_block_is_global_block():
     for shard in range(1, 5):
-        gb, txs = _random_global_block(4, 60, seed=shard)
-        rs = eager_collect_support(gb, _interval(gb, shard))
-        assert rs.txs | gb.sub_block(shard).txs == frozenset(txs)
+        published = _random_block(60, seed=shard)
+        gb = GlobalBlock(tuple(Block.of(part) for part in PartitionSpec(4).part(published)))
+        rs = eager_collect_support(published, _interval(4, shard))
+        assert rs.txs | gb.sub_block(shard).txs == published.txs
         assert not rs.txs & gb.sub_block(shard).txs
 
 
@@ -69,16 +63,14 @@ def test_lazy_empty_without_cross_shard_payments():
         _tx(3 * Q // 5, [7 * Q // 10], "b"),
         _tx(9 * Q // 10, [19 * Q // 20], "c"),
     ]
-    gb = _global_block(4, txs)
     for shard in range(1, 5):
-        assert lazy_collect_support(gb, _interval(gb, shard)).txs == frozenset()
+        assert lazy_collect_support(Block.of(txs), _interval(4, shard)).txs == frozenset()
 
 
 def test_lazy_includes_only_payments_into_shard():
     remote_in = _tx(9 * Q // 10, [Q // 10], "in")  # pays into shard 1
     remote_out = _tx(4 * Q // 5, [3 * Q // 5], "out")  # stays away from shard 1
-    gb = _global_block(4, [remote_in, remote_out])
-    rs = lazy_collect_support(gb, _interval(gb, 1))
+    rs = lazy_collect_support(Block.of([remote_in, remote_out]), _interval(4, 1))
     assert rs.txs == frozenset([remote_in])
 
 
@@ -86,26 +78,25 @@ def test_lazy_never_ships_own_sub_block():
     # A local sender paying a local recipient is not remote support even
     # though the recipient is in the shard.
     local = _tx(Q // 10, [3 * Q // 20], "local")
-    gb = _global_block(4, [local])
-    assert lazy_collect_support(gb, _interval(gb, 1)).txs == frozenset()
+    assert lazy_collect_support(Block.of([local]), _interval(4, 1)).txs == frozenset()
 
 
 def test_multi_output_tx_reaches_every_recipient_shard_once():
     # Pays into shard 2 and shard 3 of 4.
     spanning = _tx(Q // 10, [2 * Q // 5, 3 * Q // 5, 13 * Q // 20], "span")
-    gb = _global_block(4, [spanning])
-    assert lazy_collect_support(gb, _interval(gb, 2)).txs == frozenset([spanning])
-    assert lazy_collect_support(gb, _interval(gb, 3)).txs == frozenset([spanning])
-    assert lazy_collect_support(gb, _interval(gb, 4)).txs == frozenset()
-    assert lazy_collect_support(gb, _interval(gb, 1)).txs == frozenset()
+    published = Block.of([spanning])
+    assert lazy_collect_support(published, _interval(4, 2)).txs == frozenset([spanning])
+    assert lazy_collect_support(published, _interval(4, 3)).txs == frozenset([spanning])
+    assert lazy_collect_support(published, _interval(4, 4)).txs == frozenset()
+    assert lazy_collect_support(published, _interval(4, 1)).txs == frozenset()
 
 
 def test_lazy_subset_of_eager():
     for m in (2, 4, 8):
-        gb, _ = _random_global_block(m, 80, seed=10 + m)
+        published = _random_block(80, seed=10 + m)
         for shard in range(1, m + 1):
-            lazy = lazy_collect_support(gb, _interval(gb, shard)).txs
-            eager = eager_collect_support(gb, _interval(gb, shard)).txs
+            lazy = lazy_collect_support(published, _interval(m, shard)).txs
+            eager = eager_collect_support(published, _interval(m, shard)).txs
             assert lazy <= eager
 
 
