@@ -156,6 +156,55 @@ def test_run_is_reproducible():
     assert a.local_fractions == b.local_fractions
 
 
+# Seed state after six honest rounds (n=40, m=4, seed=3): shard seeds, then
+# the global seed. Eager at tx_rate 4 mixes empty and leader-signed
+# sub-blocks; every lazy sub-block is leader-signed; tx_rate 0 is leaderless.
+_PINNED_SEEDS = [
+    (
+        dict(tx_rate=4),
+        [
+            "7339ab0e6862f102f07f09b37e4a98507b1f2ce40ac9113424f766a2f8b756a9",
+            "c347e67778bf039e858d08de367e9bcc85275c372552c5893c4c332f7bf2c84e",
+            "edc777fb1dde3e1600cea8728dd1a9831e1c9ef0ea1d0fca903350000ce1e637",
+            "d190014ae3a9a4a921acde9eb0aa644f3971fb5d30da9aebf97ebc1b6bd893ae",
+        ],
+        "59be3bcaaf91c75902bbbe4397d71f1686e6fbf743d2285912b50984f6f8f36e",
+    ),
+    (
+        dict(sync="lazy", t_lease=3),
+        [
+            "ee4ce75d0b7ab6916e051c307b2104dbcbbc7705a600cbb65bce3d6c82c17dfc",
+            "8973f4f028a73ed6307f2d90dc422a9ba33ef2124909da2182d29e85051fafe8",
+            "f4d379ad3cf25ee44b74edc184e5e9d79b8a4aa9e95afa1f5d4b0b9b137da953",
+            "4114adcd4b5633544b1000cdbf49c30b5ea06ebdf805143a375e70cda4ec1d64",
+        ],
+        "660449c40a78075b808557044c9ab6a87d745f23360257b53e4e98c27fa3402b",
+    ),
+    (
+        dict(tx_rate=0),
+        [
+            "9ce95fb35358cf8dfeec3c42a746c8e09d87e3192758d0613bc1b4fb6ec6087a",
+            "31d1c2c00b137ecc30bca2dd3bae9c698a1b63f1871aaef3392fd760a2d40e55",
+            "0fc1392a97ee7efdfeea640cf4b548521cc30e694934feb657bb745dae61b8e5",
+            "455df23820719ac9ee86f71e1a36063de31eed1036296ad352e7275ae3598033",
+        ],
+        "7a5e93ef4999d172ad14ff3dc1aa1bbbb1e9ac3793ae65facb14c2d2c5aec0ec",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kw,shard_seeds,global_seed", _PINNED_SEEDS, ids=["eager", "lazy", "leaderless"]
+)
+def test_seed_path_is_pinned(kw, shard_seeds, global_seed):
+    sim = Simulation(_cfg(n=40, m=4, rounds=6, seed=3, **kw))
+    assert not sim.run().halted
+    seeds = sim.membership.seeds
+    assert seeds.round == 7
+    assert [s.hex() for s in seeds.shard_seeds] == shard_seeds
+    assert seeds.global_seed.hex() == global_seed
+
+
 def test_tight_economics_stay_honest():
     # Admissibility pressure alone must not breach anything.
     cfg = _cfg(m=2, **TIGHT)
