@@ -15,7 +15,6 @@ from .crypto import oracle_hash, unit_hash
 from .keys import KeyPair, PublicKey, SignatureScheme
 from .ledger import (
     Block,
-    GlobalBlock,
     LedgerContext,
     LedgerError,
     Transaction,
@@ -45,6 +44,6 @@ from .simulation import (
     run_unsharded_oracle,
 )
 from .sync import eager_collect_support, lazy_collect_support
-from .workload import WorkloadParams, genesis_block, round_transactions
+from .workload import genesis_block, round_transactions
 
 __version__ = "0.1.0"

@@ -107,7 +107,8 @@ class Block:
 
     @classmethod
     def of(cls, txs: Iterable[Transaction]) -> "Block":
-        return cls(frozenset(txs))
+        # Copying a set sizes the table to fit (half of one grown in place).
+        return cls(frozenset(set(txs)))
 
     @classmethod
     def empty(cls) -> "Block":
@@ -121,30 +122,6 @@ class Block:
 
     def __contains__(self, tx: Transaction) -> bool:
         return tx in self.txs
-
-
-@dataclass(frozen=True)
-class GlobalBlock:
-    """One sub-block per shard, kept in shard order (index 1..m).
-
-    Construction does not enforce the honest-run invariants (pairwise
-    tx_id disjointness, sender positions inside the owning shard's
-    interval): adversarial sub-blocks may violate them, and the monitors
-    are the place where violations become observable.
-    """
-
-    sub_blocks: tuple[Block, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.sub_blocks)
-
-    def sub_block(self, i: int) -> Block:
-        return self.sub_blocks[i - 1]
-
-    def tx_id_disjoint(self) -> bool:
-        total = sum(len(sub) for sub in self.sub_blocks)
-        return len({tx.tx_id for sub in self.sub_blocks for tx in sub}) == total
 
 
 @dataclass(frozen=True)

@@ -89,20 +89,17 @@ class NodeRecord:
     t_shuffle: Optional[int]
 
 
-def evolve_shard_seed(
-    seed: bytes, round: int, sub_block_empty: bool, leader: Optional[KeyPair] = None
-) -> bytes:
+def evolve_shard_seed(seed: bytes, round: int, leader: Optional[KeyPair] = None) -> bytes:
     """Next round's seed for one shard.
 
-    A non-empty round folds in the round leader's signature so the value
-    is unpredictable until the leader is known; an empty round advances
-    the seed by hashing alone, keeping the sequence alive without input.
+    A round with a leader (a non-empty sub-block) folds in the leader's
+    signature so the value is unpredictable until the leader is known; an
+    empty round advances the seed by hashing alone, keeping the sequence
+    alive without input.
     """
     material = seed + be8(round + 1)
-    if sub_block_empty:
-        return oracle_hash(material)
     if leader is None:
-        raise MembershipError("non-empty round needs a leader to evolve the seed")
+        return oracle_hash(material)
     return oracle_hash(sign_bytes(leader.sk, material))
 
 
@@ -253,18 +250,25 @@ class Membership:
         return added
 
     def end_of_round(
-        self, r: int, new_shard_seeds: Iterable[bytes]
+        self, r: int, leaders: list[Optional[KeyPair]]
     ) -> tuple[SeedState, set[str]]:
         """Advance to round r+1 and re-draw every node whose slot came up.
 
-        Returns the new seed state and the ids of the re-drawn keys.
+        ``leaders`` holds each shard's round leader, None where the shard's
+        sub-block was empty; each shard seed evolves from it. Returns the new
+        seed state and the ids of the re-drawn keys.
         """
         if r != self.round:
             raise MembershipError(f"end_of_round({r}) called at round {self.round}")
-        seeds = tuple(new_shard_seeds)
-        if len(seeds) != self.m:
-            raise MembershipError(f"expected {self.m} shard seeds, got {len(seeds)}")
-        self.seeds = SeedState.derive(r + 1, seeds)
+        if len(leaders) != self.m:
+            raise MembershipError(f"expected {self.m} shard leaders, got {len(leaders)}")
+        self.seeds = SeedState.derive(
+            r + 1,
+            (
+                evolve_shard_seed(seed, r, leader)
+                for seed, leader in zip(self.seeds.shard_seeds, leaders)
+            ),
+        )
         self._seed_history[r + 1] = self.seeds.global_seed
         for past in [k for k in self._seed_history if k <= r + 1 - self.t_lease]:
             del self._seed_history[past]
@@ -323,12 +327,5 @@ def golden_vector_text(
             lines.append(
                 f"round={r} key={key_id} shard={cert.shard} sigma={cert.sigma.hex()}"
             )
-        assert mem.seeds is not None
-        mem.end_of_round(
-            r,
-            (
-                evolve_shard_seed(seed, r, sub_block_empty=True)
-                for seed in mem.seeds.shard_seeds
-            ),
-        )
+        mem.end_of_round(r, [None] * m)
     return "\n".join(lines) + "\n"

@@ -5,7 +5,8 @@ idealized consensus over the shard's slice of the pending stream; an
 honest-majority shard emits the deterministic greedy admissible block, a
 compromised one lets the adversary choose. Phase two: the sub-blocks are
 published as one global block, every shard ingests its remote support, and
-only then does membership adjust for the next round.
+only then does membership evolve the seeds from the round's leaders and
+re-draw keys for the next round.
 
 Safety is watched, not assumed: monitors check per-shard legality, global
 admissibility against an independently maintained full ledger, lazy
@@ -30,17 +31,16 @@ from .crypto import oracle_hash
 from .keys import KeyPair, PublicKey, SignatureScheme
 from .ledger import (
     Block,
-    GlobalBlock,
     LedgerContext,
     Transaction,
     build_transaction,
     greedy_admissible_block,
     verify,
 )
-from .membership import Membership, MembershipCertificate, committee_fails, evolve_shard_seed
+from .membership import Membership, MembershipCertificate, committee_fails
 from .partition import PartitionSpec, shard_index
 from .sync import eager_collect_support, lazy_collect_support
-from .workload import WorkloadParams, genesis_block, round_transactions
+from .workload import genesis_block, round_transactions
 
 DEFAULT_GENESIS_SEED = oracle_hash(b"shardsim/default-genesis")
 
@@ -80,9 +80,6 @@ class RunConfig:
         if self.self_containment_samples is not None:
             return self.self_containment_samples
         return 20 if self.sync == "lazy" else 0
-
-    def workload(self) -> WorkloadParams:
-        return WorkloadParams(self.tx_rate, self.max_amount, self.initial_balance)
 
     def validate(self) -> None:
         if self.n < 2:
@@ -358,16 +355,16 @@ class Simulation:
                     break
         return breaches
 
-    def run_round(self, r: int) -> tuple[GlobalBlock, list[MonitorBreach]]:
+    def run_round(self, r: int) -> list[MonitorBreach]:
         cfg = self.cfg
         breaches: list[MonitorBreach] = []
         pending = round_transactions(
-            self.scheme, self.clients, cfg.workload(), cfg.seed, r
+            self.scheme, self.clients, cfg.tx_rate, cfg.max_amount, cfg.seed, r
         )
         parts = self.spec.part(pending, self.route)
 
         sub_blocks: list[Block] = []
-        certified_by_shard: list[list[PublicKey]] = []
+        leaders: list[Optional[KeyPair]] = []
         for shard in range(1, cfg.m + 1):
             # Certificates the shard's members present, in key-id order.
             participations = self.membership.by_shard[shard - 1]
@@ -375,7 +372,8 @@ class Simulation:
                 shard, participations, parts[shard - 1], r
             )
             sub_blocks.append(block)
-            certified_by_shard.append(certified)
+            # The first certified member leads; an empty sub-block has no leader.
+            leaders.append(self.by_id[certified[0].id] if block else None)
             status = "ok"
             if breach is not None:
                 breaches.append(breach)
@@ -393,12 +391,11 @@ class Simulation:
                 )
             )
 
-        gb = GlobalBlock(tuple(sub_blocks))
         # The published block keeps one transaction per tx_id; sub-blocks
-        # that collide on an id fail the disjointness check below. Copying
-        # a set sizes the frozenset's table to fit (half of one grown in place).
-        published = Block.of(set({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values()))
-        if not (gb.tx_id_disjoint() and verify(published, self.global_ctx)):
+        # that collide on an id fail the disjointness check below.
+        published = Block.of({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values())
+        collided = len(published) < sum(map(len, sub_blocks))
+        if collided or not verify(published, self.global_ctx):
             breaches.append(
                 MonitorBreach(
                     r, 0, "global-admissibility", "global block fails full-ledger verify"
@@ -407,31 +404,23 @@ class Simulation:
         self.global_ctx.append(published, round=r)
         self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in published)))
 
-        for shard in range(1, cfg.m + 1):
-            self._append_local(sub_blocks[shard - 1], published, shard, r)
+        for shard, own in enumerate(sub_blocks, start=1):
+            source = published
+            if collided:
+                # Keep the shard's own version of every id it minted.
+                ids = {tx.tx_id for tx in own}
+                source = Block.of(tx for tx in published if tx.tx_id not in ids)
+            self._append_local(own, source, shard, r)
 
         if cfg.containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))
 
-        new_seeds = []
-        assert self.membership.seeds is not None
-        for shard in range(1, cfg.m + 1):
-            empty = len(gb.sub_block(shard)) == 0
-            leader = None
-            certified = certified_by_shard[shard - 1]
-            if not empty and certified:
-                # Certified members are in key-id order: the first one leads.
-                leader = self.by_id[certified[0].id]
-            seed = self.membership.seeds.shard_seeds[shard - 1]
-            new_seeds.append(
-                evolve_shard_seed(seed, r, sub_block_empty=empty or leader is None, leader=leader)
-            )
-        self.membership.end_of_round(r, new_seeds)
-        return gb, breaches
+        self.membership.end_of_round(r, leaders)
+        return breaches
 
     def run(self) -> RunResult:
         for r in range(1, self.cfg.rounds + 1):
-            _, breaches = self.run_round(r)
+            breaches = self.run_round(r)
             self.result.rounds_completed = r
             if breaches:
                 self.result.breaches.extend(breaches)
@@ -460,7 +449,7 @@ def run_unsharded_oracle(cfg: RunConfig) -> list[tuple[str, ...]]:
     ctx.append(b0, round=0)
     blocks = [tuple(sorted(tx.tx_id for tx in b0))]
     for r in range(1, cfg.rounds + 1):
-        pool = round_transactions(scheme, clients, cfg.workload(), cfg.seed, r)
+        pool = round_transactions(scheme, clients, cfg.tx_rate, cfg.max_amount, cfg.seed, r)
         block = greedy_admissible_block(pool, ctx)
         ctx.append(block, round=r)
         blocks.append(tuple(sorted(tx.tx_id for tx in block)))

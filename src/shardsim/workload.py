@@ -12,21 +12,12 @@ pins down the greedy consensus rule's scan order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .keys import KeyPair, SignatureScheme
 from .ledger import Block, Transaction, build_transaction
 
 _WORKLOAD_STREAM = 1
-
-
-@dataclass(frozen=True)
-class WorkloadParams:
-    tx_rate: int = 20
-    max_amount: int = 50
-    initial_balance: int = 1000
 
 
 def genesis_block(
@@ -44,19 +35,20 @@ def genesis_block(
 def round_transactions(
     scheme: SignatureScheme,
     clients: list[KeyPair],
-    params: WorkloadParams,
+    tx_rate: int,
+    max_amount: int,
     seed: int,
     round: int,
 ) -> list[Transaction]:
     """Pending transactions arriving in ``round``: uniform single-output payments."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _WORKLOAD_STREAM, round]))
     n = len(clients)
-    senders = rng.integers(0, n, params.tx_rate)
+    senders = rng.integers(0, n, tx_rate)
     # Uniform over the other n-1 keys; offset trick avoids resampling loops.
-    offsets = rng.integers(1, n, params.tx_rate)
-    amounts = rng.integers(1, params.max_amount + 1, params.tx_rate)
+    offsets = rng.integers(1, n, tx_rate)
+    amounts = rng.integers(1, max_amount + 1, tx_rate)
     txs = []
-    for k in range(params.tx_rate):
+    for k in range(tx_rate):
         sender = clients[int(senders[k])]
         recipient = clients[(int(senders[k]) + int(offsets[k])) % n]
         txs.append(

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from shardsim.keys import PublicKey, SignatureScheme
 from shardsim.ledger import (
     Block,
-    GlobalBlock,
     LedgerContext,
     LedgerError,
     Transaction,
@@ -666,26 +665,3 @@ def test_greedy_skips_replays_and_bad_signatures(scheme, mint):
     fine = build_transaction(scheme, kp, [(to, 3)], "ok")
     block = greedy_admissible_block([replay, forged, fine], ctx)
     assert {tx.tx_id for tx in block} == {"ok"}
-
-
-# -- global blocks ------------------------------------------------------------
-
-
-def test_global_block_views(scheme, mint):
-    kp = scheme.keygen("s")
-    to = scheme.keygen("r").pk
-    tx = build_transaction(scheme, kp, [(to, 1)], "t1")
-    gb = GlobalBlock((Block.of([tx]), Block.empty()))
-    assert gb.m == 2
-    assert gb.sub_block(1) == Block.of([tx])
-    assert gb.sub_block(2) == Block.empty()
-    assert gb.tx_id_disjoint()
-
-
-def test_global_block_detects_duplicate_ids_across_shards(scheme):
-    kp = scheme.keygen("s")
-    to = scheme.keygen("r").pk
-    tx1 = build_transaction(scheme, kp, [(to, 1)], "dup")
-    tx2 = build_transaction(scheme, kp, [(to, 2)], "dup")
-    gb = GlobalBlock((Block.of([tx1]), Block.of([tx2])))
-    assert not gb.tx_id_disjoint()

@@ -32,13 +32,7 @@ def _fresh(m=4, n=16, t_lease=5, prefix="n", genesis=GENESIS):
 def _advance(mem, rounds):
     """Run empty rounds; seeds evolve along the leaderless path."""
     for r in range(mem.round, mem.round + rounds):
-        mem.end_of_round(
-            r,
-            (
-                evolve_shard_seed(seed, r, sub_block_empty=True)
-                for seed in mem.seeds.shard_seeds
-            ),
-        )
+        mem.end_of_round(r, [None] * mem.m)
 
 
 # -- epoch arithmetic ---------------------------------------------------------
@@ -393,21 +387,15 @@ def test_shuffle_slots_uniform_over_lease():
 def test_end_of_round_requires_current_round_and_m_seeds():
     _, _, mem = _fresh(m=4)
     with pytest.raises(MembershipError):
-        mem.end_of_round(5, [b"x"] * 4)
+        mem.end_of_round(5, [None] * 4)
     with pytest.raises(MembershipError):
-        mem.end_of_round(1, [b"x"] * 3)
+        mem.end_of_round(1, [None] * 3)
 
 
 def test_eager_redraws_everyone_each_round():
     _, kps, mem = _fresh(t_lease=1, n=12)
     for r in range(1, 6):
-        _, redrawn = mem.end_of_round(
-            r,
-            (
-                evolve_shard_seed(seed, r, sub_block_empty=True)
-                for seed in mem.seeds.shard_seeds
-            ),
-        )
+        _, redrawn = mem.end_of_round(r, [None] * mem.m)
         assert redrawn == {kp.pk.id for kp in kps}
 
 
@@ -415,13 +403,7 @@ def test_lazy_redraws_each_node_once_per_lease_window():
     _, kps, mem = _fresh(t_lease=5, n=40)
     redraw_count = {kp.pk.id: 0 for kp in kps}
     for r in range(1, 11):
-        _, redrawn = mem.end_of_round(
-            r,
-            (
-                evolve_shard_seed(seed, r, sub_block_empty=True)
-                for seed in mem.seeds.shard_seeds
-            ),
-        )
+        _, redrawn = mem.end_of_round(r, [None] * mem.m)
         for pk in redrawn:
             redraw_count[pk] += 1
     assert set(redraw_count.values()) == {2}
@@ -431,26 +413,14 @@ def test_redraw_set_size_binomial():
     _, kps, mem = _fresh(t_lease=5, n=2000, prefix="b")
     sigma = math.sqrt(2000 * 0.2 * 0.8)
     for r in range(1, 6):
-        _, redrawn = mem.end_of_round(
-            r,
-            (
-                evolve_shard_seed(seed, r, sub_block_empty=True)
-                for seed in mem.seeds.shard_seeds
-            ),
-        )
+        _, redrawn = mem.end_of_round(r, [None] * mem.m)
         assert abs(len(redrawn) - 400) < 5 * sigma
 
 
 def test_redraw_refreshes_certificates():
     _, kps, mem = _fresh(t_lease=5)
     before = {pk: c.sigma for pk, c in mem.certificates.items()}
-    _, redrawn = mem.end_of_round(
-        1,
-        (
-            evolve_shard_seed(seed, 1, sub_block_empty=True)
-            for seed in mem.seeds.shard_seeds
-        ),
-    )
+    _, redrawn = mem.end_of_round(1, [None] * mem.m)
     for pk in redrawn:
         assert mem.certificates[pk].sigma != before[pk]
     for pk in set(before) - redrawn:
@@ -458,10 +428,6 @@ def test_redraw_refreshes_certificates():
 
 
 # -- shared issuer and per-shard lists ------------------------------------------
-
-
-def _next_seeds(mem, r):
-    return [evolve_shard_seed(seed, r, sub_block_empty=True) for seed in mem.seeds.shard_seeds]
 
 
 @pytest.mark.parametrize("t_lease", [1, 3, 5])
@@ -474,7 +440,7 @@ def test_redrawn_certificates_equal_issued_ones(t_lease):
     for r in range(1, 16):
         if r <= len(joiners):
             mem.register_nodes(r, [joiners[r - 1].pk])
-        _, redrawn = mem.end_of_round(r, _next_seeds(mem, r))
+        _, redrawn = mem.end_of_round(r, [None] * mem.m)
         assert redrawn
         for key_id in redrawn:
             cert = mem.certificates[key_id]
@@ -507,7 +473,7 @@ def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
     assert mem.by_shard == _scanned_by_shard(mem)
     for r in range(1, rounds + 1):
         mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
-        mem.end_of_round(r, _next_seeds(mem, r))
+        mem.end_of_round(r, [None] * mem.m)
         assert mem.by_shard == _scanned_by_shard(mem)
         assert mem.shard_counts() == [len(certs) for certs in mem.by_shard]
         assert sum(mem.shard_counts()) == len(mem.certificates)
@@ -535,32 +501,27 @@ def test_consecutive_epoch_draws_uncorrelated():
 
 
 def test_empty_round_seed_evolution_is_leader_free():
-    s = evolve_shard_seed(b"seed0", 3, sub_block_empty=True)
-    assert s == evolve_shard_seed(b"seed0", 3, sub_block_empty=True, leader=None)
-    assert s != evolve_shard_seed(b"seed0", 4, sub_block_empty=True)
-
-
-def test_nonempty_round_requires_leader():
-    with pytest.raises(MembershipError):
-        evolve_shard_seed(b"seed0", 3, sub_block_empty=False)
+    s = evolve_shard_seed(b"seed0", 3)
+    assert s == evolve_shard_seed(b"seed0", 3, leader=None)
+    assert s != evolve_shard_seed(b"seed0", 4)
 
 
 def test_leader_changes_seed_path():
     scheme = SignatureScheme()
     a = scheme.keygen("leader-a")
     b = scheme.keygen("leader-b")
-    empty = evolve_shard_seed(b"seed0", 3, sub_block_empty=True)
-    with_a = evolve_shard_seed(b"seed0", 3, sub_block_empty=False, leader=a)
-    with_b = evolve_shard_seed(b"seed0", 3, sub_block_empty=False, leader=b)
+    empty = evolve_shard_seed(b"seed0", 3)
+    with_a = evolve_shard_seed(b"seed0", 3, leader=a)
+    with_b = evolve_shard_seed(b"seed0", 3, leader=b)
     assert len({empty, with_a, with_b}) == 3
-    assert with_a == evolve_shard_seed(b"seed0", 3, sub_block_empty=False, leader=a)
+    assert with_a == evolve_shard_seed(b"seed0", 3, leader=a)
 
 
 def test_seed_sequence_uniform_ks():
     seed = GENESIS
     values = []
     for r in range(10_000):
-        seed = evolve_shard_seed(seed, r, sub_block_empty=True)
+        seed = evolve_shard_seed(seed, r)
         values.append(unit_hash(seed) / (1 << UNIT_BITS))
     stat, pvalue = scipy.stats.kstest(values, "uniform")
     assert pvalue > 0.01, stat

@@ -381,6 +381,20 @@ def test_colliding_adversary_blocks_halt_with_breaches():
         assert ctx.entries[-1].remote and ctx.entries[-1].block.txs <= published.txs
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_colliding_ids_enter_each_local_context_once(seed):
+    # Both shards mint the ds- ids; the one whose version lost the published
+    # block keeps its own and must not ingest the winner's as well.
+    sim = Simulation(
+        _cfg(n=40, m=2, rounds=20, seed=seed, byzantine_fraction=0.5, adversary="double-spend")
+    )
+    res = sim.run()
+    for ctx in sim.local_ctx:
+        ids = [tx.tx_id for tx in ctx.iter_txs()]
+        assert len(ids) == len(set(ids))
+    assert all(frac <= 1.0 for frac in res.local_fractions), res.local_fractions
+
+
 def _float_breach(byz, certified, h_p=2 / 3):
     # The honest-majority test the simulator applied before committee_fails.
     return byz >= (1.0 - h_p) * certified - 1e-12

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from shardsim.keys import PublicKey
-from shardsim.ledger import Block, GlobalBlock, Transaction, TxOutput, build_transaction, verify
+from shardsim.ledger import Block, Transaction, TxOutput, build_transaction, verify
 from shardsim.partition import PartitionSpec
 from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
@@ -50,10 +50,10 @@ def test_eager_empty_when_all_senders_local():
 def test_eager_union_with_own_sub_block_is_global_block():
     for shard in range(1, 5):
         published = _random_block(60, seed=shard)
-        gb = GlobalBlock(tuple(Block.of(part) for part in PartitionSpec(4).part(published)))
+        own = PartitionSpec(4).part(published)[shard - 1]
         rs = eager_collect_support(published, _interval(4, shard))
-        assert rs.txs | gb.sub_block(shard).txs == published.txs
-        assert not rs.txs & gb.sub_block(shard).txs
+        assert rs.txs | own == published.txs
+        assert not rs.txs & own
 
 
 def test_lazy_empty_without_cross_shard_payments():

@@ -1,7 +1,7 @@
 """Workload generator: determinism, shape, and genesis validity."""
 
 from shardsim.ledger import LedgerContext, verify
-from shardsim.workload import WorkloadParams, genesis_block, round_transactions
+from shardsim.workload import genesis_block, round_transactions
 
 from conftest import make_clients
 
@@ -30,20 +30,18 @@ def test_genesis_valid_under_empty_context(scheme, mint):
 
 def test_round_transactions_deterministic(scheme):
     clients = make_clients(scheme, 10)
-    params = WorkloadParams(tx_rate=15, max_amount=30)
-    a = round_transactions(scheme, clients, params, seed=5, round=3)
-    b = round_transactions(scheme, clients, params, seed=5, round=3)
+    a = round_transactions(scheme, clients, 15, 30, seed=5, round=3)
+    b = round_transactions(scheme, clients, 15, 30, seed=5, round=3)
     assert a == b
-    c = round_transactions(scheme, clients, params, seed=5, round=4)
+    c = round_transactions(scheme, clients, 15, 30, seed=5, round=4)
     assert a != c
-    d = round_transactions(scheme, clients, params, seed=6, round=3)
+    d = round_transactions(scheme, clients, 15, 30, seed=6, round=3)
     assert a != d
 
 
 def test_round_transactions_shape(scheme):
     clients = make_clients(scheme, 10)
-    params = WorkloadParams(tx_rate=50, max_amount=12)
-    txs = round_transactions(scheme, clients, params, seed=1, round=7)
+    txs = round_transactions(scheme, clients, 50, 12, seed=1, round=7)
     assert len(txs) == 50
     ids = [tx.tx_id for tx in txs]
     assert ids == sorted(ids)
@@ -60,4 +58,4 @@ def test_round_transactions_shape(scheme):
 
 def test_zero_rate_round_is_empty(scheme):
     clients = make_clients(scheme, 4)
-    assert round_transactions(scheme, clients, WorkloadParams(tx_rate=0), 1, 1) == []
+    assert round_transactions(scheme, clients, 0, 50, 1, 1) == []
