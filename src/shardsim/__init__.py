@@ -30,7 +30,6 @@ from .membership import (
     MembershipCertificate,
     MembershipError,
     NodeRecord,
-    SeedState,
     evolve_shard_seed,
 )
 from .partition import KeyInterval, PartitionSpec, shard_index

@@ -77,8 +77,8 @@ def bound_table(rows: Iterable[tuple[int, int]]) -> list[dict]:
     """One table row per (n, m): the bound, its companions, and log10 forms."""
     out = []
     for n, m in rows:
-        blue_tail, red_tail = chernoff_tail_bounds(n, m)
         per_round = analytic_failure_bound(n, m)
+        blue_tail, red_tail = chernoff_tail_bounds(n, m)
         out.append(
             {
                 "n": n,
@@ -142,6 +142,8 @@ def mc_static_failure_rate(
     A trial fails when any bin fails ``committee_fails``. Vectorized over
     trials in batches of ``_STATIC_CHUNK`` to bound memory.
     """
+    if n < 1 or m < 1 or trials < 1:
+        raise ValueError("n, m and trials must be positive")
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STATIC_STREAM]))
@@ -235,8 +237,8 @@ def mc_iterated_lazy(
             raise ValueError("adaptive strategies need t_takeover")
         if t_lease > t_takeover:
             raise ValueError("adaptive strategies require t_lease <= t_takeover")
-    if t_lease < 1 or rounds < 1:
-        raise ValueError("t_lease and rounds must be positive")
+    if n < 1 or m < 1 or t_lease < 1 or rounds < 1:
+        raise ValueError("n, m, t_lease and rounds must be positive")
     if attack_size is not None and attack_size < 1:
         raise ValueError("attack_size must be at least 1")
     if not 0.0 <= red_fraction < 1.0:

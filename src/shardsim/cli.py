@@ -33,6 +33,8 @@ from .simulation import (
     DEFAULT_GENESIS_SEED,
     NEGATIVE_MODES,
     ConfigError,
+    MonitorBreach,
+    RoundRecord,
     RunConfig,
     Simulation,
     first_divergence,
@@ -206,19 +208,12 @@ def cmd_simulate(args) -> int:
     _dump(cfg, out)
     sim = Simulation(cfg)
     result = sim.run()
-    _write_csv(
-        out / "rounds.csv",
-        ["round", "shard", "members", "certified", "byzantine", "sub_block_size", "status"],
-        (
-            (r.round, r.shard, r.members, r.certified, r.byzantine, r.sub_block_size, r.status)
-            for r in result.records
-        ),
-    )
-    _write_csv(
-        out / "breaches.csv",
-        ["round", "shard", "kind", "detail"],
-        ((b.round, b.shard, b.kind, b.detail) for b in result.breaches),
-    )
+    for name, cls, rows in (
+        ("rounds.csv", RoundRecord, result.records),
+        ("breaches.csv", MonitorBreach, result.breaches),
+    ):
+        header = [f.name for f in dataclasses.fields(cls)]
+        _write_csv(out / name, header, map(dataclasses.astuple, rows))
     summary = [
         ("rounds_completed", result.rounds_completed),
         ("halted_round", "" if result.halted_round is None else result.halted_round),
@@ -363,6 +358,8 @@ def _parse_table_rows(raw: str) -> list[tuple[int, int]]:
             rows.append((int(n_text), int(m_text)))
         except ValueError as exc:
             raise ConfigError(f"bad table row {item!r}, want n:m") from exc
+        if min(rows[-1]) < 1:
+            raise ConfigError(f"bad table row {item!r}, n and m must be positive")
     if not rows:
         raise ConfigError("bound table needs at least one n:m row")
     return rows

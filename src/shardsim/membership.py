@@ -56,24 +56,6 @@ def committee_fails(red, total):
     return (3 * red >= total) & (red > 0)
 
 
-@dataclass(frozen=True)
-class SeedState:
-    """Per-shard seeds for one round plus the global seed derived from them."""
-
-    round: int
-    shard_seeds: tuple[bytes, ...]
-    global_seed: bytes
-
-    @classmethod
-    def derive(cls, round: int, shard_seeds: Iterable[bytes]) -> "SeedState":
-        seeds = tuple(shard_seeds)
-        return cls(round, seeds, oracle_hash(*seeds))
-
-    @classmethod
-    def genesis(cls, genesis_seed: bytes, m: int) -> "SeedState":
-        return cls.derive(1, (oracle_hash(genesis_seed, be8(i)) for i in range(1, m + 1)))
-
-
 @dataclass(frozen=True, slots=True)
 class MembershipCertificate:
     pk: PublicKey
@@ -87,6 +69,9 @@ class NodeRecord:
     pk: PublicKey
     t_join: int
     t_shuffle: Optional[int]
+    cert: Optional[MembershipCertificate] = None  # in force; None until first seated
+    # (epoch start, sigma, shard) of the last claim that verify_member proved.
+    verified: Optional[tuple[int, bytes, int]] = None
 
 
 def evolve_shard_seed(seed: bytes, round: int, leader: Optional[KeyPair] = None) -> bytes:
@@ -109,12 +94,13 @@ def shuffle_slot(pk: PublicKey, seed: bytes, t_lease: int) -> int:
 
 
 class Membership:
-    """Registry, seed history, and current certificates for one simulation.
+    """Registry, seed chain, and current certificates for one simulation.
 
-    Single volume of trusted public state: node records, the last t_lease
-    global seeds, and the certificates currently in force. Records and
-    certificates are keyed by key id, and records are kept in id order, so
-    ``by_shard`` (each shard's certificates in key-id order) is rebuilt in
+    Single volume of trusted public state, each fact kept once: a key's
+    record (keyed by key id, kept in id order) holds its certificate in
+    force and its last proved claim; the seed chain is the current round,
+    its shard seeds and the last t_lease global seeds. ``by_shard`` (each
+    shard's certificates in key-id order) is rebuilt from the records in
     one pass whenever certificates change.
     """
 
@@ -125,13 +111,10 @@ class Membership:
         self.t_lease = t_lease
         self.scheme = scheme
         self.records: dict[str, NodeRecord] = {}
-        self.certificates: dict[str, MembershipCertificate] = {}
         self.by_shard: list[list[MembershipCertificate]] = [[] for _ in range(m)]
-        self.seeds: Optional[SeedState] = None
-        self._seed_history: dict[int, bytes] = {}
-        # Epoch start -> sigma -> (key id, shard) of each certificate that
-        # passed verify_member; a start's entries leave with its seed.
-        self._verified: dict[int, dict[bytes, tuple[str, int]]] = {}
+        self.round = 0
+        self.shard_seeds: tuple[bytes, ...] = ()
+        self.global_seeds: dict[int, bytes] = {}
 
     @classmethod
     def init(
@@ -144,24 +127,23 @@ class Membership:
     ) -> "Membership":
         """Round-1 state: genesis seeds, genesis records, every initial certificate."""
         mem = cls(m, t_lease, scheme)
-        mem.seeds = SeedState.genesis(genesis_seed, m)
-        mem._seed_history[1] = mem.seeds.global_seed
+        seed = mem._enter(1, (oracle_hash(genesis_seed, be8(i)) for i in range(1, m + 1)))
         for pk in sorted(keys, key=lambda k: k.id):
             if pk.id in mem.records:
                 raise MembershipError(f"duplicate genesis key {pk.id!r}")
-            mem.records[pk.id] = NodeRecord(
-                pk, 0, shuffle_slot(pk, mem.seeds.global_seed, t_lease)
-            )
+            mem.records[pk.id] = NodeRecord(pk, 0, shuffle_slot(pk, seed, t_lease))
         for key_id, record in mem.records.items():
-            cert = mem._issue(record, mem.scheme.keypair(key_id).sk, 1)
-            mem.certificates[key_id] = cert
-            mem.by_shard[cert.shard - 1].append(cert)
+            record.cert = mem._issue(record, mem.scheme.keypair(key_id).sk, 1)
+            mem.by_shard[record.cert.shard - 1].append(record.cert)
         return mem
 
-    @property
-    def round(self) -> int:
-        assert self.seeds is not None
-        return self.seeds.round
+    def _enter(self, r: int, shard_seeds: Iterable[bytes]) -> bytes:
+        """Move the seed chain to round ``r``; keeps the last t_lease global seeds."""
+        self.round = r
+        self.shard_seeds = tuple(shard_seeds)
+        seed = self.global_seeds[r] = oracle_hash(*self.shard_seeds)
+        self.global_seeds.pop(r - self.t_lease, None)
+        return seed
 
     # -- epoch arithmetic ---------------------------------------------------
 
@@ -211,25 +193,29 @@ class Membership:
         )
 
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
-        """Public check of a claimed (pk, shard) for round ``r``; never raises."""
+        """Public check of a claimed (pk, shard) for round ``r``; never raises.
+
+        The record's last proved claim passes again while its seed is kept.
+        """
         record = self.records.get(pk.id)
         if not self._record_eligible(record, r):
             return False
         start = self.epoch_start(record.t_shuffle, r)
-        claim = (pk.id, shard)
-        verified = self._verified.get(start)
-        if verified is not None and verified.get(sigma) == claim:
+        seed = self.global_seeds.get(start)
+        if seed is None:
+            return False
+        claim = (start, sigma, shard)
+        if claim == record.verified:
             return True
         if shard_index(unit_hash(sigma), self.m) != shard:
             return False
-        seed = self._seed_history.get(start)
-        if seed is None or not self.scheme.verify(pk, seed, sigma):
+        if not self.scheme.verify(pk, seed, sigma):
             return False
-        self._verified.setdefault(start, {})[sigma] = claim
+        record.verified = claim
         return True
 
     def _seed_at(self, r: int) -> bytes:
-        seed = self._seed_history.get(r)
+        seed = self.global_seeds.get(r)
         if seed is None:
             raise MembershipError(f"seed for round {r} is not retained")
         return seed
@@ -251,48 +237,37 @@ class Membership:
 
     def end_of_round(
         self, r: int, leaders: list[Optional[KeyPair]]
-    ) -> tuple[SeedState, set[str]]:
+    ) -> tuple[bytes, set[str]]:
         """Advance to round r+1 and re-draw every node whose slot came up.
 
         ``leaders`` holds each shard's round leader, None where the shard's
         sub-block was empty; each shard seed evolves from it. Returns the new
-        seed state and the ids of the re-drawn keys.
+        global seed and the ids of the re-drawn keys.
         """
         if r != self.round:
             raise MembershipError(f"end_of_round({r}) called at round {self.round}")
         if len(leaders) != self.m:
             raise MembershipError(f"expected {self.m} shard leaders, got {len(leaders)}")
-        self.seeds = SeedState.derive(
+        seed = self._enter(
             r + 1,
             (
-                evolve_shard_seed(seed, r, leader)
-                for seed, leader in zip(self.seeds.shard_seeds, leaders)
+                evolve_shard_seed(shard_seed, r, leader)
+                for shard_seed, leader in zip(self.shard_seeds, leaders)
             ),
         )
-        self._seed_history[r + 1] = self.seeds.global_seed
-        for past in [k for k in self._seed_history if k <= r + 1 - self.t_lease]:
-            del self._seed_history[past]
-            self._verified.pop(past, None)
-
         redrawn: set[str] = set()
         by_shard: list[list[MembershipCertificate]] = [[] for _ in range(self.m)]
         slot = (r + 1) % self.t_lease
         for key_id, record in self.records.items():
             if record.t_shuffle is None and record.t_join + self.t_lease == r + 1:
-                record.t_shuffle = shuffle_slot(
-                    record.pk, self.seeds.global_seed, self.t_lease
-                )
+                record.t_shuffle = shuffle_slot(record.pk, seed, self.t_lease)
             if record.t_shuffle == slot and self._record_eligible(record, r + 1):
-                cert = self._issue(record, self.scheme.keypair(key_id).sk, r + 1)
-                self.certificates[key_id] = cert
+                record.cert = self._issue(record, self.scheme.keypair(key_id).sk, r + 1)
                 redrawn.add(key_id)
-            else:
-                cert = self.certificates.get(key_id)
-                if cert is None:
-                    continue
-            by_shard[cert.shard - 1].append(cert)
+            if record.cert is not None:
+                by_shard[record.cert.shard - 1].append(record.cert)
         self.by_shard = by_shard
-        return self.seeds, redrawn
+        return seed, redrawn
 
     # -- views ---------------------------------------------------------------
 

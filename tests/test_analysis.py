@@ -157,6 +157,12 @@ def test_static_rejects_bad_fraction():
         mc_static_failure_rate(100, 2, red_fraction=1.0)
 
 
+@pytest.mark.parametrize("row", [(0, 4), (6000, 0)])
+def test_bound_table_rejects_nonpositive_rows(row):
+    with pytest.raises(ValueError):
+        bound_table([row])
+
+
 def test_static_reproducible():
     a = mc_static_failure_rate(400, 4, trials=5000, seed=7)
     b = mc_static_failure_rate(400, 4, trials=5000, seed=7)
@@ -175,6 +181,10 @@ def test_iterated_rejects_bad_config():
         mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy", t_takeover=3)
     with pytest.raises(ValueError):
         mc_iterated_lazy(100, 2, 0, 10)
+    with pytest.raises(ValueError):
+        mc_iterated_lazy(0, 2, 5, 10)
+    with pytest.raises(ValueError):
+        mc_iterated_lazy(100, 0, 5, 10)
 
 
 @pytest.mark.parametrize(

@@ -333,11 +333,15 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
         "strategy = adaptive-greedy\nt_takeover = 10\nattack_size = -3\n",
         "red_fraction = -0.1\n",
         "red_fraction = 1.0\n",
+        "n = 0\n",
+        "m = 0\n",
     ],
-    ids=["attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1"],
+    ids=[
+        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0"
+    ],
 )
 def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, capsys):
-    cfg = _write(tmp_path, "[bins]\nmode = iterated\nn = 100\nrounds = 20\n" + bad)
+    cfg = _write(tmp_path, "[bins]\nmode = iterated\nrounds = 20\n" + bad)
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -347,6 +351,14 @@ def test_bins_mc_static_rejects_bad_fraction(tmp_path):
     cfg = _write(tmp_path, "[bins]\nmode = static\nn = 100\nred_fraction = -0.1\n")
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", ["trials = 0", "m = 0", "n = 0"])
+def test_bins_mc_static_rejects_nonpositive(tmp_path, bad, capsys):
+    cfg = _write(tmp_path, f"[bins]\nmode = static\n{bad}\n")
+    out = tmp_path / "out"
+    assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
 
 
 # -- bound-table --------------------------------------------------------------
@@ -380,6 +392,15 @@ def test_bound_table_bad_rows(tmp_path):
     cfg = _write(tmp_path, "[table]\nrows = 6000x4\n")
     out = tmp_path / "out"
     assert main(["bound-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("rows", ["0:4", "6000:0", "6000:4, -1:2"])
+def test_bound_table_rejects_nonpositive_rows(tmp_path, rows, capsys):
+    cfg = _write(tmp_path, f"[table]\nrows = {rows}\n")
+    out = tmp_path / "out"
+    assert main(["bound-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- golden-vectors -----------------------------------------------------------

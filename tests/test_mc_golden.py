@@ -126,7 +126,7 @@ def _round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(0, 60),
+    n=st.integers(1, 60),
     m=st.integers(1, 9),
     t_lease=st.integers(1, 12),
     rounds=st.integers(1, 120),

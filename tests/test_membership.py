@@ -6,13 +6,12 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from shardsim.crypto import UNIT_BITS, unit_hash
+from shardsim.crypto import UNIT_BITS, oracle_hash, unit_hash
 from shardsim.keys import PublicKey, SignatureScheme
 from shardsim.membership import (
     EligibilityError,
     Membership,
     MembershipError,
-    SeedState,
     evolve_shard_seed,
     golden_vector_text,
     shuffle_slot,
@@ -77,13 +76,13 @@ def test_init_single_shard_puts_everyone_in_shard_one():
 def test_init_deterministic_across_schemes():
     _, _, a = _fresh()
     _, _, b = _fresh()
-    assert {pk: c.shard for pk, c in a.certificates.items()} == {
-        pk: c.shard for pk, c in b.certificates.items()
+    assert {pk: rec.cert.shard for pk, rec in a.records.items()} == {
+        pk: rec.cert.shard for pk, rec in b.records.items()
     }
-    assert {pk: c.sigma for pk, c in a.certificates.items()} == {
-        pk: c.sigma for pk, c in b.certificates.items()
+    assert {pk: rec.cert.sigma for pk, rec in a.records.items()} == {
+        pk: rec.cert.sigma for pk, rec in b.records.items()
     }
-    assert a.seeds == b.seeds
+    assert (a.round, a.shard_seeds, a.global_seeds) == (b.round, b.shard_seeds, b.global_seeds)
 
 
 def test_init_rejects_duplicate_keys():
@@ -102,12 +101,11 @@ def test_init_assignment_close_to_uniform():
 
 
 def test_genesis_seed_state_shape():
-    state = SeedState.genesis(GENESIS, 3)
-    assert state.round == 1
-    assert len(state.shard_seeds) == 3
-    assert len(set(state.shard_seeds)) == 3
-    rebuilt = SeedState.derive(1, state.shard_seeds)
-    assert rebuilt.global_seed == state.global_seed
+    _, _, mem = _fresh(m=3)
+    assert mem.round == 1
+    assert len(mem.shard_seeds) == 3
+    assert len(set(mem.shard_seeds)) == 3
+    assert mem.global_seeds == {1: oracle_hash(*mem.shard_seeds)}
 
 
 # -- certificates -------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_wrong_shard_rejected():
 def test_unregistered_key_rejected():
     scheme, kps, mem = _fresh()
     outsider = scheme.keygen("outsider")
-    sigma = scheme.sign(outsider.sk, mem.seeds.global_seed)
+    sigma = scheme.sign(outsider.sk, mem.global_seeds[mem.round])
     shard = shard_index(unit_hash(sigma), mem.m)
     assert not mem.verify_member(outsider.pk, sigma, shard, 1)
 
@@ -165,7 +163,7 @@ def test_wrong_epoch_seed_rejected():
     scheme, kps, mem = _fresh(t_lease=5)
     _advance(mem, 1)
     kp = kps[0]
-    future_seed = mem.seeds.global_seed
+    future_seed = mem.global_seeds[mem.round]
     sigma = scheme.sign(kp.sk, future_seed)
     shard = shard_index(unit_hash(sigma), mem.m)
     # A signature over round 2's seed does not certify an epoch anchored
@@ -207,7 +205,7 @@ def _uncached_verify(mem, pk, sigma, shard, r):
         return False
     if shard_index(unit_hash(sigma), mem.m) != shard:
         return False
-    seed = mem._seed_history.get(mem.epoch_start(mem.records[pk.id].t_shuffle, r))
+    seed = mem.global_seeds.get(mem.epoch_start(mem.records[pk.id].t_shuffle, r))
     return seed is not None and mem.scheme.verify(pk, seed, sigma)
 
 
@@ -222,6 +220,13 @@ def test_memo_hit_needs_the_accepted_claim():
     assert not mem.verify_member(cert.pk, cert.sigma, cert.shard % 4 + 1, 1)
     forged = bytes([cert.sigma[0] ^ 0x01]) + cert.sigma[1:]
     assert not mem.verify_member(cert.pk, forged, shard_index(unit_hash(forged), 4), 1)
+    # The record still holds the claim once round 1's seed has left, but
+    # the claim no longer counts.
+    assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+    _advance(mem, mem.t_lease)
+    assert 1 not in mem.global_seeds
+    assert mem.records[cert.pk.id].verified == (1, cert.sigma, cert.shard)
+    assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
 
 
 def test_memo_pruned_with_seeds_and_stale_certificates_refused():
@@ -231,7 +236,7 @@ def test_memo_pruned_with_seeds_and_stale_certificates_refused():
         assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
     for r in range(2, 9):
         _advance(mem, 1)
-        assert set(mem._verified) <= set(mem._seed_history)
+        assert len(mem.global_seeds) <= mem.t_lease
         for kp in kps:
             cert = mem.get_membership(kp, r)
             assert mem.verify_member(cert.pk, cert.sigma, cert.shard, r)
@@ -260,7 +265,7 @@ def test_memoized_verify_equals_uncached_rule(m, t_lease, joins, rounds, rnd):
             t_shuffle = mem.records[other.pk.id].t_shuffle
             if t_shuffle is None:
                 continue
-            seed = mem._seed_history.get(mem.epoch_start(t_shuffle, probe))
+            seed = mem.global_seeds.get(mem.epoch_start(t_shuffle, probe))
             if seed is None:
                 continue
             sigma = scheme.sign(other.sk, seed)
@@ -270,7 +275,7 @@ def test_memoized_verify_equals_uncached_rule(m, t_lease, joins, rounds, rnd):
             expect = _uncached_verify(mem, kp.pk, sigma, shard, probe)
             assert mem.verify_member(kp.pk, sigma, shard, probe) == expect
         _advance(mem, 1)
-        assert set(mem._verified) <= set(mem._seed_history)
+        assert len(mem.global_seeds) <= mem.t_lease
 
 
 # -- registration -------------------------------------------------------------
@@ -295,7 +300,7 @@ def test_registration_benches_until_first_slot():
     # Benching ended at round 15: slot drawn from round 15's seed.
     assert mem.round == 15
     record = mem.records[joiner.pk.id]
-    assert record.t_shuffle == shuffle_slot(joiner.pk, mem.seeds.global_seed, 5)
+    assert record.t_shuffle == shuffle_slot(joiner.pk, mem.global_seeds[mem.round], 5)
     first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
     assert 15 <= first <= 19
     assert first % 5 == record.t_shuffle
@@ -333,7 +338,7 @@ def test_verify_member_implies_eligible_for_joiners():
             record = mem.records.get(kp.pk.id)
             if record is None or record.t_shuffle is None:
                 continue
-            seed = mem._seed_history.get(mem.epoch_start(record.t_shuffle, r))
+            seed = mem.global_seeds.get(mem.epoch_start(record.t_shuffle, r))
             if seed is None:
                 continue
             sigma = scheme.sign(kp.sk, seed)
@@ -372,7 +377,7 @@ def test_duplicate_registration_rejected():
 def test_shuffle_slots_uniform_over_lease():
     # An adversary grinding fresh keys cannot bias the slot: hashed slots
     # over many keys fit the uniform distribution.
-    seed = SeedState.genesis(GENESIS, 4).global_seed
+    seed = Membership.init(4, [], GENESIS, 5, SignatureScheme()).global_seeds[1]
     t_lease = 5
     counts = [0] * t_lease
     for i in range(100_000):
@@ -419,12 +424,12 @@ def test_redraw_set_size_binomial():
 
 def test_redraw_refreshes_certificates():
     _, kps, mem = _fresh(t_lease=5)
-    before = {pk: c.sigma for pk, c in mem.certificates.items()}
+    before = {pk: rec.cert.sigma for pk, rec in mem.records.items()}
     _, redrawn = mem.end_of_round(1, [None] * mem.m)
     for pk in redrawn:
-        assert mem.certificates[pk].sigma != before[pk]
+        assert mem.records[pk].cert.sigma != before[pk]
     for pk in set(before) - redrawn:
-        assert mem.certificates[pk].sigma == before[pk]
+        assert mem.records[pk].cert.sigma == before[pk]
 
 
 # -- shared issuer and per-shard lists ------------------------------------------
@@ -443,7 +448,7 @@ def test_redrawn_certificates_equal_issued_ones(t_lease):
         _, redrawn = mem.end_of_round(r, [None] * mem.m)
         assert redrawn
         for key_id in redrawn:
-            cert = mem.certificates[key_id]
+            cert = mem.records[key_id].cert
             assert cert == mem.get_membership(by_id[key_id], r + 1)
             fresh = PublicKey.from_id(key_id)
             for shard in (cert.shard, cert.shard % mem.m + 1):
@@ -456,7 +461,7 @@ def test_redrawn_certificates_equal_issued_ones(t_lease):
 
 def _scanned_by_shard(mem):
     """Each shard's certificates from a from-scratch scan, in key-id order."""
-    certs = [cert for _, cert in sorted(mem.certificates.items())]
+    certs = [rec.cert for _, rec in sorted(mem.records.items()) if rec.cert is not None]
     return [[c for c in certs if c.shard == shard] for shard in range(1, mem.m + 1)]
 
 
@@ -476,7 +481,8 @@ def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
         mem.end_of_round(r, [None] * mem.m)
         assert mem.by_shard == _scanned_by_shard(mem)
         assert mem.shard_counts() == [len(certs) for certs in mem.by_shard]
-        assert sum(mem.shard_counts()) == len(mem.certificates)
+        seated = sum(rec.cert is not None for rec in mem.records.values())
+        assert sum(mem.shard_counts()) == seated
 
 
 # -- assignment distribution --------------------------------------------------
@@ -490,9 +496,9 @@ def test_assignment_uniform_chi_square():
 
 def test_consecutive_epoch_draws_uncorrelated():
     _, kps, mem = _fresh(m=4, n=4000, t_lease=1, prefix="c")
-    first = [mem.certificates[kp.pk.id].shard for kp in kps]
+    first = [mem.records[kp.pk.id].cert.shard for kp in kps]
     _advance(mem, 1)
-    second = [mem.certificates[kp.pk.id].shard for kp in kps]
+    second = [mem.records[kp.pk.id].cert.shard for kp in kps]
     rho = scipy.stats.pearsonr(first, second).statistic
     assert abs(rho) < 3 / math.sqrt(len(kps)), rho
 

@@ -199,10 +199,10 @@ _PINNED_SEEDS = [
 def test_seed_path_is_pinned(kw, shard_seeds, global_seed):
     sim = Simulation(_cfg(n=40, m=4, rounds=6, seed=3, **kw))
     assert not sim.run().halted
-    seeds = sim.membership.seeds
-    assert seeds.round == 7
-    assert [s.hex() for s in seeds.shard_seeds] == shard_seeds
-    assert seeds.global_seed.hex() == global_seed
+    mem = sim.membership
+    assert mem.round == 7
+    assert [s.hex() for s in mem.shard_seeds] == shard_seeds
+    assert mem.global_seeds[7].hex() == global_seed
 
 
 def test_tight_economics_stay_honest():
