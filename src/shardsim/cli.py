@@ -284,7 +284,6 @@ def cmd_bins_mc(args) -> int:
     cfg = _load(BinsConfig, _read_ini(args.config), seed=args.seed, rounds=args.rounds)
     if cfg.mode == "static" and args.rounds is not None:
         raise ConfigError("--rounds applies to iterated bins-mc only")
-    out = _out_dir(args)
     if cfg.mode == "static":
         try:
             res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
@@ -336,12 +335,14 @@ def cmd_bins_mc(args) -> int:
             "capacity",
             "peak_capacity_used",
         )
-        _write_csv(
-            out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds)
-        )
         print(f"{res.failures} failing rounds of {res.rounds} ({cfg.strategy})")
     else:
         raise ConfigError(f"unknown bins mode {cfg.mode!r}")
+    out = _out_dir(args)
+    if cfg.mode == "iterated":
+        _write_csv(
+            out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds)
+        )
     _write_csv(out / "stats.csv", list(columns), [[getattr(res, c) for c in columns]])
     _dump(cfg, out, omit=unused)
     return EXIT_OK

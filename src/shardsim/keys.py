@@ -88,9 +88,6 @@ class SignatureScheme:
     def keypair(self, key_id: str) -> KeyPair:
         return KeyPair(PublicKey.from_id(key_id), self._secrets[key_id])
 
-    def knows(self, pk: PublicKey) -> bool:
-        return pk.id in self._secrets
-
     def sign(self, sk: bytes, message: bytes) -> bytes:
         return sign_bytes(sk, message)
 

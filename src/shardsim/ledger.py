@@ -13,12 +13,16 @@ which keeps the genesis block admissible against the empty context.
 Balances and per-block spends are keyed by key id, and keys are compared by
 id, so no per-transaction step hashes or compares a ``PublicKey`` object. A
 transaction's total is fixed at construction and it hashes by ``tx_id``.
+
+Admission checks the unseen id, then the budget, then the signature, and a
+transaction keeps the scheme that accepted it: later passes (legality, global
+verify, a second context on the same scheme) skip the signature check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .keys import PublicKey, KeyPair, SignatureScheme
 
@@ -42,7 +46,8 @@ class Transaction:
     length-prefixed (4-byte big-endian), amounts as 8-byte big-endian
     unsigned integers.
 
-    ``total_amount`` is computed once, at construction. Equality compares
+    ``total_amount`` is computed once, at construction, and ``signed_for``
+    (the scheme that accepted ``sig``) by admission. Equality compares
     every field but the hash covers ``tx_id`` alone, which equal
     transactions share; two transactions with one id and different fields
     collide in a set and stay apart.
@@ -53,6 +58,9 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     sig: bytes
     total_amount: int = field(init=False, compare=False, repr=False)
+    signed_for: Optional[SignatureScheme] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.outputs:
@@ -120,9 +128,6 @@ class Block:
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self.txs)
 
-    def __contains__(self, tx: Transaction) -> bool:
-        return tx in self.txs
-
 
 @dataclass(frozen=True)
 class ContextEntry:
@@ -150,9 +155,6 @@ class LedgerContext:
         self._balances: dict[str, int] = {}
         self._seen: set[str] = set()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def seen_tx_ids(self) -> set[str]:
         return self._seen
@@ -164,26 +166,19 @@ class LedgerContext:
 
     def append(self, block: Block, round: int, remote: bool = False) -> None:
         self.entries.append(ContextEntry(round, block, remote))
+        balances, mint_id, seen = self._balances, self._mint_id, self._seen
         for tx in block:
-            self._apply(tx)
-
-    def _apply(self, tx: Transaction) -> None:
-        balances, mint_id = self._balances, self._mint_id
-        self._seen.add(tx.tx_id)
-        sender = tx.sender.id
-        if sender != mint_id:
-            balances[sender] = balances.get(sender, 0) - tx.total_amount
-        for out in tx.outputs:
-            to = out.to.id
-            if to != mint_id:
-                balances[to] = balances.get(to, 0) + out.amount
+            seen.add(tx.tx_id)
+            sender = tx.sender.id
+            if sender != mint_id:
+                balances[sender] = balances.get(sender, 0) - tx.total_amount
+            for out in tx.outputs:
+                to = out.to.id
+                if to != mint_id:
+                    balances[to] = balances.get(to, 0) + out.amount
 
     def balance(self, pk: PublicKey) -> int:
         return self._balances.get(pk.id, 0)
-
-    def iter_txs(self) -> Iterator[Transaction]:
-        for entry in self.entries:
-            yield from entry.block
 
     def tx_count(self, min_round: int = 0) -> int:
         return sum(len(e.block) for e in self.entries if e.round >= min_round)
@@ -193,9 +188,15 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
     """The admission rule: the transactions of ``txs`` it keeps, in order.
 
     A transaction is kept iff its tx_id is neither seen in ``ctx`` nor
-    already kept, its signature is valid, and its sender's running spend
-    over the kept transactions stays within the sender's context balance.
-    The mint key is exempt from the budget check.
+    already kept, its sender's running spend over the kept transactions
+    stays within the sender's context balance, and its signature is valid.
+    The mint key is exempt from the budget check. A failing check changes
+    no state, so the signature, the dearest, is checked last.
+
+    The scheme that accepts a signature is kept on the transaction and later
+    passes trust it. That is exact: a transaction is frozen, and a scheme
+    never changes or drops a registered key's secret, so S accepting T stays
+    true. Rejections are not kept; other schemes and copies check afresh.
     """
     seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id, ctx.balances
     spend: dict[str, int] = {}
@@ -204,14 +205,15 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
     for tx in txs:
         if tx.tx_id in seen or tx.tx_id in kept_ids:
             continue
-        if not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
-            continue
         sender = tx.sender.id
-        if sender != mint_id:
-            after = spend.get(sender, 0) + tx.total_amount
-            if after > balances.get(sender, 0):
+        after = spend.get(sender, 0) + tx.total_amount
+        if sender != mint_id and after > balances.get(sender, 0):
+            continue
+        if tx.signed_for is not scheme:
+            if not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
                 continue
-            spend[sender] = after
+            object.__setattr__(tx, "signed_for", scheme)
+        spend[sender] = after
         kept.append(tx)
         kept_ids.add(tx.tx_id)
     return kept

@@ -152,9 +152,6 @@ class Membership:
         diff = (slot - t_shuffle) % self.t_lease
         return max(1, r - diff)
 
-    def eligible(self, pk: PublicKey, r: int) -> bool:
-        return self._record_eligible(self.records.get(pk.id), r)
-
     def _record_eligible(self, record: Optional[NodeRecord], r: int) -> bool:
         """The one eligibility rule, for issuing and for verifying.
 
@@ -268,11 +265,6 @@ class Membership:
                 by_shard[record.cert.shard - 1].append(record.cert)
         self.by_shard = by_shard
         return seed, redrawn
-
-    # -- views ---------------------------------------------------------------
-
-    def shard_counts(self) -> list[int]:
-        return [len(certs) for certs in self.by_shard]
 
 
 def golden_vector_text(

@@ -33,8 +33,31 @@ def mint(scheme):
     return scheme.keygen("mint")
 
 
+@pytest.fixture
+def verify_checks(monkeypatch):
+    """Every ``SignatureScheme.verify`` call, as (scheme, key id, message)."""
+    checks = []
+    original = SignatureScheme.verify
+
+    def recorded(self, pk, message, signature):
+        checks.append((self, pk.id, message))
+        return original(self, pk, message, signature)
+
+    monkeypatch.setattr(SignatureScheme, "verify", recorded)
+    return checks
+
+
 def make_clients(scheme, count, prefix="c"):
     return [scheme.keygen(f"{prefix}{i:03d}") for i in range(count)]
+
+
+def knows(scheme, pk):
+    """Has ``scheme`` registered the key id of ``pk``?"""
+    try:
+        scheme.keypair(pk.id)
+    except KeyError:
+        return False
+    return True
 
 
 def funded_context(scheme, mint, clients, amount):

@@ -1,10 +1,18 @@
-"""Ledger contexts rebuilt from another context's entries, for the tests.
+"""Ledger views and contexts rebuilt from another context's entries, for the tests.
 
 Each context helper replays entries through the public ``append``, so it is
 an independent reformulation of what the incremental context holds.
 """
 
+from typing import Iterator
+
 from shardsim.ledger import Block, LedgerContext, Transaction
+
+
+def iter_txs(ctx: LedgerContext) -> Iterator[Transaction]:
+    """Every transaction of ``ctx``, entry by entry."""
+    for entry in ctx.entries:
+        yield from entry.block
 
 
 def replay(ctx: LedgerContext, keep=None) -> LedgerContext:
@@ -43,6 +51,6 @@ def support(interval, ctx: LedgerContext) -> set[Transaction]:
     contains = interval.contains
     return {
         tx
-        for tx in ctx.iter_txs()
+        for tx in iter_txs(ctx)
         if contains(tx.sender) or any(contains(out.to) for out in tx.outputs)
     }

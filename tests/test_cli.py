@@ -309,12 +309,14 @@ def test_bins_mc_adaptive(tmp_path):
 def test_bins_mc_static_rejects_rounds(tmp_path):
     out = tmp_path / "out"
     assert main(["bins-mc", "--out", str(out), "--rounds", "5"]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_bins_mc_bad_mode(tmp_path):
     cfg = _write(tmp_path, "[bins]\nmode = quantum\n")
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_bins_mc_adaptive_needs_takeover(tmp_path):
@@ -324,6 +326,7 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -345,12 +348,14 @@ def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, capsys):
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bins_mc_static_rejects_bad_fraction(tmp_path):
     cfg = _write(tmp_path, "[bins]\nmode = static\nn = 100\nred_fraction = -0.1\n")
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["trials = 0", "m = 0", "n = 0"])
@@ -359,6 +364,7 @@ def test_bins_mc_static_rejects_nonpositive(tmp_path, bad, capsys):
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- bound-table --------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from shardsim import keys as keys_mod
 from shardsim.keys import KeyError_, PublicKey, SignatureScheme, position_of, sign_bytes
 
+from conftest import knows
+
 
 def test_position_in_half_open_unit_interval():
     # Integer positions in [1, 2**64] are the image of (0, 1].
@@ -59,8 +61,8 @@ def test_keygen_idempotent(scheme):
     kp2 = scheme.keygen("x")
     assert kp1 == kp2
     assert scheme.keypair("x") == kp1
-    assert scheme.knows(kp1.pk)
-    assert not scheme.knows(PublicKey.from_id("unknown"))
+    assert knows(scheme, kp1.pk)
+    assert not knows(scheme, PublicKey.from_id("unknown"))
 
 
 def test_two_schemes_agree():

@@ -26,7 +26,7 @@ from shardsim.ledger import (
 )
 from shardsim.partition import PartitionSpec
 
-from ledgerlib import replay, restricted, support
+from ledgerlib import iter_txs, replay, restricted, support
 
 from conftest import funded_context, make_clients, competing_pairs
 
@@ -301,7 +301,7 @@ def test_balance_equals_filtered_history_replay(scheme, mint):
     for kp in clients:
         touching = [
             tx
-            for tx in ctx.iter_txs()
+            for tx in iter_txs(ctx)
             if tx.sender == kp.pk or any(o.to == kp.pk for o in tx.outputs)
         ]
         replayed = 0
@@ -369,7 +369,7 @@ def test_prefix_residue(scheme, mint):
         prefix = set(rng.sample(txs, rng.randrange(0, len(txs) + 1)))
         rest = [tx for tx in txs if tx not in prefix]
         stepped = replay(ctx)
-        stepped.append(Block.of(prefix), round=len(stepped))
+        stepped.append(Block.of(prefix), round=len(stepped.entries))
         assert verify(Block.of(rest), stepped)
 
 
@@ -378,7 +378,7 @@ def test_prefix_residue(scheme, mint):
 
 def test_support_whole_interval_is_everything(scheme, mint):
     ctx, _ = _random_history(scheme, mint, seed=19)
-    assert support(WholeInterval(), ctx) == set(ctx.iter_txs())
+    assert support(WholeInterval(), ctx) == set(iter_txs(ctx))
 
 
 def test_support_empty_context(scheme, mint):
@@ -414,7 +414,7 @@ def test_support_matches_restricted_context(scheme, mint):
     ctx, _ = _random_history(scheme, mint, seed=29)
     for shard in range(1, 5):
         interval = spec.interval(shard)
-        assert support(interval, ctx) == set(restricted(ctx, interval).iter_txs())
+        assert support(interval, ctx) == set(iter_txs(restricted(ctx, interval)))
 
 
 # -- competing transactions ---------------------------------------------------
@@ -630,7 +630,10 @@ def test_verify_equals_verify_before_admission_rule(specs):
             tx = Transaction(tx.tx_id, tx.sender, tx.outputs, b"\x00" * 32)
         txs.append(tx)
     block = Block.of(txs)
-    assert verify(block, _PROP_CTX) == _verify_before_admission_rule(block, _PROP_CTX)
+    expected = _verify_before_admission_rule(block, _PROP_CTX)
+    # Cold, then warm: the second call reuses the signatures the first accepted.
+    assert verify(block, _PROP_CTX) == expected
+    assert verify(block, _PROP_CTX) == expected
 
 
 def test_greedy_rejections_stay_inadmissible(scheme, mint):
@@ -665,3 +668,62 @@ def test_greedy_skips_replays_and_bad_signatures(scheme, mint):
     fine = build_transaction(scheme, kp, [(to, 3)], "ok")
     block = greedy_admissible_block([replay, forged, fine], ctx)
     assert {tx.tx_id for tx in block} == {"ok"}
+
+
+# -- one signature check per scheme -------------------------------------------
+
+
+def test_each_signature_checked_once_per_scheme(scheme, mint, verify_checks):
+    clients = make_clients(scheme, 6, prefix="o")
+    ctx = funded_context(scheme, mint, clients, 50)
+    other_ctx = funded_context(scheme, mint, clients, 50)
+    pool = [
+        build_transaction(scheme, kp, [(clients[0].pk, 10)], f"once{i}")
+        for i, kp in enumerate(clients)
+    ]
+    assert not verify_checks
+    block = greedy_admissible_block(pool, ctx)
+    assert len(block) == len(pool)
+    assert verify(block, ctx)
+    assert verify(block, other_ctx)
+    assert len(verify_checks) == len(pool)
+    copy = dataclasses.replace(pool[0])
+    assert copy.signed_for is None
+    assert verify(Block.of([copy]), ctx)
+    assert len(verify_checks) == len(pool) + 1
+
+
+def test_rejected_signature_checked_every_time(scheme, mint, verify_checks):
+    kp = scheme.keygen("s")
+    ctx = funded_context(scheme, mint, [kp], 100)
+    forged = Transaction("f", kp.pk, (TxOutput(mint.pk, 1),), b"\x00" * 32)
+    for calls in (1, 2, 3):
+        assert not verify(Block.of([forged]), ctx)
+        assert len(verify_checks) == calls
+    assert forged.signed_for is None
+
+
+def test_overspend_rejected_without_a_check(scheme, mint, verify_checks):
+    kp = scheme.keygen("s")
+    ctx = funded_context(scheme, mint, [kp], 100)
+    tx = build_transaction(scheme, kp, [(mint.pk, 101)], "over")
+    assert not verify(Block.of([tx]), ctx)
+    assert len(greedy_admissible_block([tx], ctx)) == 0
+    assert verify_checks == []
+
+
+def test_verdict_belongs_to_the_accepting_scheme(scheme, mint, verify_checks):
+    kp = scheme.keygen("s")
+    tx = build_transaction(scheme, kp, [(mint.pk, 5)], "t")
+    assert verify(Block.of([tx]), funded_context(scheme, mint, [kp], 10))
+    assert tx.signed_for is scheme
+    # A fresh scheme that never registered the sender: same budget, no key.
+    stranger = SignatureScheme()
+    stranger_ctx = funded_context(stranger, stranger.keygen("mint"), [kp], 10)
+    assert not verify(Block.of([tx]), stranger_ctx)
+    # A scheme that registered the same id derives the same secret.
+    twin = SignatureScheme()
+    twin.keygen(kp.pk.id)
+    assert verify(Block.of([tx]), funded_context(twin, twin.keygen("mint"), [kp], 10))
+    assert [checker for checker, _, _ in verify_checks] == [scheme, stranger, twin]
+    assert tx.signed_for is twin

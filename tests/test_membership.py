@@ -18,6 +18,8 @@ from shardsim.membership import (
 )
 from shardsim.partition import shard_index
 
+from memberlib import eligible, shard_counts
+
 GENESIS = bytes.fromhex("aa" * 32)
 
 
@@ -70,7 +72,7 @@ def test_epoch_start_fixed_inside_epoch():
 
 def test_init_single_shard_puts_everyone_in_shard_one():
     _, _, mem = _fresh(m=1, n=10, t_lease=3)
-    assert mem.shard_counts() == [10]
+    assert shard_counts(mem) == [10]
 
 
 def test_init_deterministic_across_schemes():
@@ -95,9 +97,9 @@ def test_init_rejects_duplicate_keys():
 def test_init_assignment_close_to_uniform():
     _, _, mem = _fresh(m=4, n=6000, t_lease=5, prefix="u")
     sigma = math.sqrt(6000 * 0.25 * 0.75)
-    for count in mem.shard_counts():
+    for count in shard_counts(mem):
         assert abs(count - 1500) < 5 * sigma
-    assert sum(mem.shard_counts()) == 6000
+    assert sum(shard_counts(mem)) == 6000
 
 
 def test_genesis_seed_state_shape():
@@ -201,7 +203,7 @@ def test_old_seed_not_retained():
 
 def _uncached_verify(mem, pk, sigma, shard, r):
     """The verification rule recomputed from public state, without the memo."""
-    if not mem.eligible(pk, r):
+    if not eligible(mem, pk, r):
         return False
     if shard_index(unit_hash(sigma), mem.m) != shard:
         return False
@@ -292,7 +294,7 @@ def test_registration_benches_until_first_slot():
     assert record.t_shuffle is None
 
     for r in range(10, 15):
-        assert not mem.eligible(joiner.pk, r)
+        assert not eligible(mem, joiner.pk, r)
         with pytest.raises(EligibilityError):
             mem.get_membership(joiner, r)
         _advance(mem, 1)
@@ -301,7 +303,7 @@ def test_registration_benches_until_first_slot():
     assert mem.round == 15
     record = mem.records[joiner.pk.id]
     assert record.t_shuffle == shuffle_slot(joiner.pk, mem.global_seeds[mem.round], 5)
-    first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
+    first = next(r for r in range(15, 25) if eligible(mem, joiner.pk, r))
     assert 15 <= first <= 19
     assert first % 5 == record.t_shuffle
     _advance(mem, first - mem.round)
@@ -316,7 +318,7 @@ def test_registration_not_verifiable_before_lease_age():
     mem.register_nodes(10, [joiner.pk])
     _advance(mem, 5)
     record = mem.records[joiner.pk.id]
-    first = next(r for r in range(15, 25) if mem.eligible(joiner.pk, r))
+    first = next(r for r in range(15, 25) if eligible(mem, joiner.pk, r))
     _advance(mem, first - mem.round)
     cert = mem.get_membership(joiner, first)
     # The joiner is not eligible before its first slot, so no earlier claim verifies.
@@ -343,9 +345,9 @@ def test_verify_member_implies_eligible_for_joiners():
                 continue
             sigma = scheme.sign(kp.sk, seed)
             shard = shard_index(unit_hash(sigma), mem.m)
-            eligible = mem.eligible(kp.pk, r)
-            benched_with_slot += not eligible
-            if mem.verify_member(kp.pk, sigma, shard, r) and not eligible:
+            may_sit = eligible(mem, kp.pk, r)
+            benched_with_slot += not may_sit
+            if mem.verify_member(kp.pk, sigma, shard, r) and not may_sit:
                 accepted_early.append((kp.pk.id, r))
         _advance(mem, 1)
     assert benched_with_slot > 0  # the probe reaches the gap it guards
@@ -357,9 +359,9 @@ def test_eager_registration_active_next_round():
     _advance(mem, 2)
     joiner = scheme.keygen("quick")
     mem.register_nodes(3, [joiner.pk])
-    assert not mem.eligible(joiner.pk, 3)
+    assert not eligible(mem, joiner.pk, 3)
     _advance(mem, 1)
-    assert mem.eligible(joiner.pk, 4)
+    assert eligible(mem, joiner.pk, 4)
     cert = mem.get_membership(joiner, 4)
     assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 4)
 
@@ -480,9 +482,9 @@ def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
         mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
         mem.end_of_round(r, [None] * mem.m)
         assert mem.by_shard == _scanned_by_shard(mem)
-        assert mem.shard_counts() == [len(certs) for certs in mem.by_shard]
+        assert shard_counts(mem) == [len(certs) for certs in mem.by_shard]
         seated = sum(rec.cert is not None for rec in mem.records.values())
-        assert sum(mem.shard_counts()) == seated
+        assert sum(shard_counts(mem)) == seated
 
 
 # -- assignment distribution --------------------------------------------------
@@ -490,8 +492,8 @@ def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
 
 def test_assignment_uniform_chi_square():
     _, _, mem = _fresh(m=8, n=100_000, t_lease=3, prefix="x")
-    result = scipy.stats.chisquare(mem.shard_counts())
-    assert result.pvalue > 0.01, mem.shard_counts()
+    result = scipy.stats.chisquare(shard_counts(mem))
+    assert result.pvalue > 0.01, shard_counts(mem)
 
 
 def test_consecutive_epoch_draws_uncorrelated():

@@ -16,6 +16,8 @@ from shardsim.simulation import (
     run_unsharded_oracle,
 )
 
+from ledgerlib import iter_txs
+
 # Tight economics: balances small enough that admissibility does real work
 # from the first round on, so an injected defect cannot hide behind slack.
 TIGHT = dict(n=40, rounds=120, seed=7, initial_balance=150, max_amount=100)
@@ -80,7 +82,7 @@ def test_bootstrap_single_shard_holds_everything():
     sim = Simulation(_cfg(n=12, m=1, rounds=0))
     genesis_ids = sim.result.global_blocks[0]
     assert len(genesis_ids) == 12
-    local_ids = sorted(tx.tx_id for tx in sim.local_ctx[0].iter_txs())
+    local_ids = sorted(tx.tx_id for tx in iter_txs(sim.local_ctx[0]))
     assert tuple(local_ids) == genesis_ids
     for kp in sim.clients:
         assert sim.local_ctx[0].balance(kp.pk) == 1000
@@ -390,7 +392,7 @@ def test_colliding_ids_enter_each_local_context_once(seed):
     )
     res = sim.run()
     for ctx in sim.local_ctx:
-        ids = [tx.tx_id for tx in ctx.iter_txs()]
+        ids = [tx.tx_id for tx in iter_txs(ctx)]
         assert len(ids) == len(set(ids))
     assert all(frac <= 1.0 for frac in res.local_fractions), res.local_fractions
 
@@ -436,3 +438,26 @@ def test_first_divergence_basics():
     assert first_divergence(a, [("x",), ("q",), ("z",)]) == 1
     assert first_divergence(a, a[:2]) is None  # common prefix only
     assert first_divergence([], a) is None
+
+
+# -- one signature check per scheme -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(n=60, m=4, rounds=30, seed=3, tx_rate=60, initial_balance=30),
+        RunConfig(
+            n=60, m=3, rounds=30, seed=4, tx_rate=60, initial_balance=30,
+            sync="lazy", t_lease=3,
+        ),
+    ],
+    ids=["eager", "lazy"],
+)
+def test_honest_run_checks_no_signature_twice(cfg, verify_checks):
+    # Greedy, legality, global verify and the sampler's second context reuse
+    # the ledger's verdicts; verify_member reuses the record's proved claim.
+    result = Simulation(cfg).run()
+    assert not result.halted
+    assert verify_checks
+    assert len(set(verify_checks)) == len(verify_checks)

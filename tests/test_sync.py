@@ -10,7 +10,7 @@ from shardsim.partition import PartitionSpec
 from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
 
-from ledgerlib import restricted
+from ledgerlib import iter_txs, restricted
 
 # Position Q stands for the point 1 of the unit interval.
 Q = 1 << 64
@@ -131,7 +131,7 @@ def test_lazy_support_suffices_for_local_verify(m, n, t_lease, seed, rounds, rnd
             continue
         local = sim.local_ctx[shard - 1]
         supported = restricted(ctx, interval)
-        recorded = [tx for tx in ctx.iter_txs() if interval.contains(tx.sender)]
+        recorded = [tx for tx in iter_txs(ctx) if interval.contains(tx.sender)]
         for k in range(6):
             txs = []
             for j in range(rnd.randint(1, 3)):
