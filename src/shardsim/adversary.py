@@ -1,13 +1,14 @@
 """Adaptive-corruption bookkeeping for the balls-into-bins analyses.
 
 Balls are nodes: blue is honest, red is adversary-controlled. The
-adversary may hold at most a ``capacity_fraction`` share of all balls,
-counting both what it controls and what it is currently attacking. To
-start an attack it must therefore retire control of as many balls as it
-targets; the retired balls stop counting against capacity immediately but
-keep their color until the attack lands. An attack takes exactly
-``t_takeover`` rounds, cannot be aborted, and on completion the targets
-turn red while the retired balls turn blue.
+adversary may hold at most ``capacity`` balls, counting both what it
+controls and what it is currently attacking. To start an attack it must
+therefore retire control of as many balls as it targets; the retired
+balls stop counting against capacity immediately but keep their color
+until the attack lands. An attack takes exactly ``t_takeover`` rounds,
+cannot be aborted, and on completion the targets turn red while the
+retired balls turn blue. Trades are one-for-one, so usage is the red
+count, and capacity is checked when the reds are seeded.
 """
 
 from __future__ import annotations
@@ -31,26 +32,25 @@ class Attack:
 
 @dataclass
 class AdversaryState:
-    """Ball colors and attacks, with derived masks and counts kept current.
+    """Ball colors and attacks, with the free masks and their sizes kept current.
 
     ``free_blue`` (blue, not under attack) and ``free_red`` (red, not
-    released) and their sizes change only on ``seed_red``, ``launch`` and
-    ``complete_due``. Once ``track`` attaches an assignment of balls to
-    bins, ``red_counts`` and ``totals`` hold its per-bin counts as ints;
-    the caller calls ``recount`` after re-drawing bins in place.
+    released) change only on ``seed_red``, ``launch`` and ``complete_due``:
+    a blue ball that is not free is under attack, and a red ball that is
+    not free is released. Usage, ``capacity_used()``, is the red count.
+    Once ``track`` attaches an assignment of balls to bins, ``red_counts``
+    and ``totals`` hold its per-bin counts as ints; the caller calls
+    ``recount`` after re-drawing bins in place.
     """
 
     n: int
     capacity: int
     t_takeover: int
     red: np.ndarray = field(init=False)
-    under_attack: np.ndarray = field(init=False)
-    released: np.ndarray = field(init=False)
     free_blue: np.ndarray = field(init=False)
     free_red: np.ndarray = field(init=False)
     n_free_blue: int = field(init=False)
     n_free_red: int = field(init=False, default=0)
-    n_under_attack: int = field(init=False, default=0)
     bins: np.ndarray | None = field(init=False, default=None)
     m: int = field(init=False, default=0)
     red_counts: list[int] = field(init=False, default_factory=list)
@@ -58,29 +58,33 @@ class AdversaryState:
     _shift: np.ndarray | None = field(init=False, default=None, repr=False)
     launched: int = field(init=False, default=0)
     completed: int = field(init=False, default=0)
-    peak_usage: int = field(init=False, default=0)
     _due: dict[int, list[Attack]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.red = np.zeros(self.n, dtype=bool)
-        self.under_attack = np.zeros(self.n, dtype=bool)
-        self.released = np.zeros(self.n, dtype=bool)
         self.free_blue = np.ones(self.n, dtype=bool)
         self.free_red = np.zeros(self.n, dtype=bool)
         self.n_free_blue = self.n
 
     def seed_red(self, indices: np.ndarray) -> None:
-        self.red[indices] = True
-        self.free_blue = ~self.red & ~self.under_attack
-        self.free_red = self.red & ~self.released
-        self.n_free_blue = int(np.count_nonzero(self.free_blue))
-        self.n_free_red = int(np.count_nonzero(self.free_red))
+        """Turn ``indices`` red before any attack; the red count must fit ``capacity``."""
+        if self._due:
+            raise AttackError("reds may only be seeded while no attack is in flight")
+        red = self.red.copy()
+        red[indices] = True
+        used = int(np.count_nonzero(red))
+        if used > self.capacity:
+            raise AttackError(f"capacity exceeded: {used} > {self.capacity}")
+        self.red = red
+        self.free_blue = ~red
+        self.free_red = red.copy()
+        self.n_free_blue = self.n - used
+        self.n_free_red = used
         if self.bins is not None:
             self.track(self.bins, self.m)
-        self.peak_usage = max(self.peak_usage, self.capacity_used())
 
     def capacity_used(self) -> int:
-        return self.n_free_red + self.n_under_attack
+        return int(np.count_nonzero(self.red))
 
     def track(self, bins: np.ndarray, m: int) -> None:
         """Keep per-bin counts of ``bins``, an assignment of balls to [0, m)."""
@@ -109,19 +113,10 @@ class AdversaryState:
         balls = targets.tolist() + releases.tolist()
         if len(set(balls)) != 2 * k or min(balls) < 0:
             raise AttackError("an attack names each target and release once, by index")
-        # A one-for-one trade of distinct free balls leaves usage unchanged,
-        # so this only fires when usage already exceeds the capacity.
-        used = self.capacity_used()
-        if used > self.capacity:
-            raise AttackError(f"capacity exceeded: {used} > {self.capacity}")
-        self.under_attack[targets] = True
         self.free_blue[targets] = False
-        self.released[releases] = True
         self.free_red[releases] = False
         self.n_free_blue -= k
         self.n_free_red -= k
-        self.n_under_attack += k
-        self.peak_usage = max(self.peak_usage, used)
         attack = Attack(targets, releases, round, round + self.t_takeover)
         self._due.setdefault(attack.completes, []).append(attack)
         self.launched += 1
@@ -135,15 +130,12 @@ class AdversaryState:
         for attack in done:
             targets, releases = attack.targets, attack.releases
             self.red[targets] = True
-            self.under_attack[targets] = False
             self.free_red[targets] = True
             self.red[releases] = False
-            self.released[releases] = False
             self.free_blue[releases] = True
             k = targets.size
             self.n_free_blue += k
             self.n_free_red += k
-            self.n_under_attack -= k
             self.completed += 1
             if self.bins is not None:
                 # The bins did not move: only the swapped balls' bins change color.
@@ -153,7 +145,6 @@ class AdversaryState:
                     self.red_counts[b] += 1
                 for b in self.bins[releases].tolist():
                     self.red_counts[b] -= 1
-        self.peak_usage = max(self.peak_usage, self.capacity_used())
         return done
 
 

@@ -119,10 +119,8 @@ def _ratio_terms(red_counts: np.ndarray, total_counts: np.ndarray) -> tuple[floa
 class StaticBinsResult:
     n: int
     m: int
-    red_fraction: float
     trials: int
     failures: int
-    seed: int
     rate: float
     wilson_low: float
     wilson_high: float
@@ -169,10 +167,8 @@ def mc_static_failure_rate(
     return StaticBinsResult(
         n,
         m,
-        red_fraction,
         trials,
         failures,
-        seed,
         rate,
         low,
         high,
@@ -188,7 +184,6 @@ class IteratedBinsResult:
     t_lease: int
     rounds: int
     strategy: str
-    seed: int
     failure_rounds: list[int] = field(default_factory=list)
     captures: dict[int, np.ndarray] = field(default_factory=dict)
     mean_red_ratio: float = 0.0
@@ -255,7 +250,7 @@ def mc_iterated_lazy(
     if attack_size is None:
         attack_size = max(1, n_red // (2 * max(1, t_takeover or 1)))
 
-    result = IteratedBinsResult(n, m, t_lease, rounds, strategy, seed, capacity=n_red)
+    result = IteratedBinsResult(n, m, t_lease, rounds, strategy, capacity=n_red)
     wanted = set(capture_rounds)
     ratio_sum = 0.0
     ratio_count = 0
@@ -299,7 +294,7 @@ def mc_iterated_lazy(
     result.mean_red_ratio = ratio_sum / ratio_count if ratio_count else 0.0
     result.attacks_launched = state.launched
     result.attacks_completed = state.completed
-    result.peak_capacity_used = state.peak_usage
+    result.peak_capacity_used = state.capacity_used()
     return result
 
 

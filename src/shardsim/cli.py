@@ -36,6 +36,7 @@ from .simulation import (
     MonitorBreach,
     RoundRecord,
     RunConfig,
+    RunResult,
     Simulation,
     first_divergence,
     run_unsharded_oracle,
@@ -172,23 +173,6 @@ def _dump(cfg, out: Path, omit: tuple[str, ...] = ()) -> None:
         cp.write(fh)
 
 
-def _run_config(args) -> RunConfig:
-    """The run's config; ``[run] negative_mode`` may only record the flag."""
-    cp = _read_ini(args.config)
-    in_force = args.negative_mode or "none"
-    recorded = cp.get("run", "negative_mode", fallback=in_force)
-    if recorded != in_force:
-        raise ConfigError(
-            f"[run] negative_mode = {recorded} disagrees with --negative-mode "
-            f"{in_force}; defects are injected from the command line only"
-        )
-    cfg = _load(RunConfig, cp, seed=args.seed, rounds=args.rounds, negative_mode=in_force)
-    cfg.validate()
-    # The echo records the sample count in force, not "variant default".
-    cfg.self_containment_samples = cfg.containment_samples
-    return cfg
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -202,12 +186,39 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
+def _simulate(args, honest: bool = False) -> tuple[RunConfig, Path, RunResult]:
+    """Load and check the run's config, echo it to ``--out`` and run it.
+
+    ``[run] negative_mode`` may only record the flag; ``honest`` rejects
+    an adversarial config before any directory is made.
+    """
+    cp = _read_ini(args.config)
+    in_force = args.negative_mode or "none"
+    recorded = cp.get("run", "negative_mode", fallback=in_force)
+    if recorded != in_force:
+        raise ConfigError(
+            f"[run] negative_mode = {recorded} disagrees with --negative-mode "
+            f"{in_force}; defects are injected from the command line only"
+        )
+    cfg = _load(RunConfig, cp, seed=args.seed, rounds=args.rounds, negative_mode=in_force)
+    cfg.validate()
+    if honest and (cfg.byzantine_fraction > 0 or cfg.adversary != "none"):
+        raise ConfigError("oracle-compare requires an all-honest configuration")
+    # The echo records the sample count in force, not "variant default".
+    cfg.self_containment_samples = cfg.containment_samples
     out = _out_dir(args)
     _dump(cfg, out)
-    sim = Simulation(cfg)
-    result = sim.run()
+    return cfg, out, Simulation(cfg).run()
+
+
+def _halted(result: RunResult) -> int:
+    breach = result.breaches[0]
+    print(f"halted at round {breach.round}: {breach.kind} (shard {breach.shard}): {breach.detail}")
+    return EXIT_BREACH
+
+
+def cmd_simulate(args) -> int:
+    _, out, result = _simulate(args)
     for name, cls, rows in (
         ("rounds.csv", RoundRecord, result.records),
         ("breaches.csv", MonitorBreach, result.breaches),
@@ -229,54 +240,28 @@ def cmd_simulate(args) -> int:
     )
     _write_csv(out / "summary.csv", ["key", "value"], summary)
     if result.halted:
-        breach = result.breaches[0]
-        print(
-            f"halted at round {breach.round}: {breach.kind} "
-            f"(shard {breach.shard}): {breach.detail}"
-        )
-        return EXIT_BREACH
-    print(
-        f"completed {result.rounds_completed} rounds, "
-        f"{result.admitted} transactions admitted"
-    )
+        return _halted(result)
+    print(f"completed {result.rounds_completed} rounds, {result.admitted} transactions admitted")
     return EXIT_OK
 
 
 def cmd_oracle_compare(args) -> int:
-    cfg = _run_config(args)
-    if cfg.byzantine_fraction > 0 or cfg.adversary != "none":
-        raise ConfigError("oracle-compare requires an all-honest configuration")
-    out = _out_dir(args)
-    _dump(cfg, out)
-    sim = Simulation(cfg)
-    result = sim.run()
-    oracle_blocks = run_unsharded_oracle(cfg)
-    divergence = first_divergence(result.global_blocks, oracle_blocks)
-    rows = []
-    for idx in range(min(len(result.global_blocks), len(oracle_blocks))):
-        rows.append(
-            (
-                idx,
-                len(result.global_blocks[idx]),
-                len(oracle_blocks[idx]),
-                result.global_blocks[idx] == oracle_blocks[idx],
-            )
-        )
+    cfg, out, result = _simulate(args, honest=True)
+    sharded, oracle = result.global_blocks, run_unsharded_oracle(cfg)
+    rows = [(i, len(a), len(b), a == b) for i, (a, b) in enumerate(zip(sharded, oracle))]
     _write_csv(out / "compare.csv", ["round", "sharded_txs", "oracle_txs", "equal"], rows)
+    divergence = first_divergence(sharded, oracle)
     if divergence is not None:
-        sharded = set(result.global_blocks[divergence])
-        oracle = set(oracle_blocks[divergence])
+        only_sharded = set(sharded[divergence]) - set(oracle[divergence])
+        only_oracle = set(oracle[divergence]) - set(sharded[divergence])
         print(
             f"mismatch at round {divergence}: "
-            f"{sorted(sharded - oracle)} only sharded, "
-            f"{sorted(oracle - sharded)} only oracle"
+            f"{sorted(only_sharded)} only sharded, {sorted(only_oracle)} only oracle"
         )
         return EXIT_MISMATCH
     if result.halted:
-        breach = result.breaches[0]
-        print(f"halted at round {breach.round}: {breach.kind}: {breach.detail}")
-        return EXIT_BREACH
-    print(f"block sequences identical over {len(result.global_blocks)} rounds")
+        return _halted(result)
+    print(f"block sequences identical over {len(sharded)} rounds")
     return EXIT_OK
 
 
@@ -290,17 +275,7 @@ def cmd_bins_mc(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         unused = _ITERATED_ONLY
-        columns = (
-            "n",
-            "m",
-            "trials",
-            "failures",
-            "rate",
-            "wilson_low",
-            "wilson_high",
-            "analytic_bound",
-            "mean_red_ratio",
-        )
+        columns = [f.name for f in dataclasses.fields(res)]
         print(
             f"{res.failures} failing trials of {res.trials} "
             f"(rate {res.rate:.3g}, bound {res.analytic_bound:.3g})"
@@ -322,7 +297,8 @@ def cmd_bins_mc(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         unused = _STATIC_ONLY
-        columns = (
+        # Not the dataclass fields: those also hold the failure rounds and captures.
+        columns = [
             "n",
             "m",
             "t_lease",
@@ -334,16 +310,14 @@ def cmd_bins_mc(args) -> int:
             "attacks_completed",
             "capacity",
             "peak_capacity_used",
-        )
+        ]
         print(f"{res.failures} failing rounds of {res.rounds} ({cfg.strategy})")
     else:
         raise ConfigError(f"unknown bins mode {cfg.mode!r}")
     out = _out_dir(args)
     if cfg.mode == "iterated":
-        _write_csv(
-            out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds)
-        )
-    _write_csv(out / "stats.csv", list(columns), [[getattr(res, c) for c in columns]])
+        _write_csv(out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds))
+    _write_csv(out / "stats.csv", columns, [[getattr(res, c) for c in columns]])
     _dump(cfg, out, omit=unused)
     return EXIT_OK
 

@@ -61,7 +61,6 @@ class MembershipCertificate:
     pk: PublicKey
     shard: int
     sigma: bytes
-    round: int
 
 
 @dataclass
@@ -185,9 +184,7 @@ class Membership:
         """Sign the seed of the record's epoch start; the caller checked eligibility."""
         assert record.t_shuffle is not None
         sigma = self.scheme.sign(sk, self._seed_at(self.epoch_start(record.t_shuffle, r)))
-        return MembershipCertificate(
-            record.pk, shard_index(unit_hash(sigma), self.m), sigma, r
-        )
+        return MembershipCertificate(record.pk, shard_index(unit_hash(sigma), self.m), sigma)
 
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
         """Public check of a claimed (pk, shard) for round ``r``; never raises.

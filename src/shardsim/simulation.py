@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError("m must be at least 1")
         if self.rounds < 0:
             raise ConfigError("rounds must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.sync not in SYNC_VARIANTS:
             raise ConfigError(f"unknown sync variant {self.sync!r}")
         if self.t_lease < 1:
@@ -105,10 +107,14 @@ class RunConfig:
             raise ConfigError("the double-spend adversary needs n of at least 3")
         if self.tx_rate < 0:
             raise ConfigError("tx_rate must be non-negative")
-        if self.max_amount < 1:
-            raise ConfigError("max_amount must be at least 1")
+        if not 1 <= self.max_amount < 2**63:
+            raise ConfigError("max_amount must lie in [1, 2**63)")
         if self.initial_balance < 0:
             raise ConfigError("initial_balance must be non-negative")
+        # The total supply bounds every balance, and the sampler's amounts
+        # (up to twice a balance) then stay below 2**63.
+        if self.n * self.initial_balance >= 2**62:
+            raise ConfigError("n * initial_balance must stay below 2**62")
         if self.self_containment_samples is not None and self.self_containment_samples < 0:
             raise ConfigError("self_containment_samples must be non-negative")
         if self.negative_mode not in NEGATIVE_MODES:
@@ -136,7 +142,6 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     records: list[RoundRecord] = field(default_factory=list)
     breaches: list[MonitorBreach] = field(default_factory=list)
     global_blocks: list[tuple[str, ...]] = field(default_factory=list)
@@ -194,7 +199,7 @@ class Simulation:
             [kp for kp in self.clients if interval.contains(kp.pk)]
             for interval in self.intervals
         ]
-        self.result = RunResult(cfg)
+        self.result = RunResult()
         self._candidate_counter = 0
         self._bootstrap()
 
@@ -251,7 +256,6 @@ class Simulation:
         Messages with invalid certificates are discarded; a shard with no
         certified members decides the empty block by default.
         """
-        ctx = self.local_ctx[shard - 1]
         certified = [
             p.pk
             for p in participations
@@ -261,6 +265,7 @@ class Simulation:
         byz = sum(1 for pk in certified if pk.id in self.red)
         if not certified:
             return Block.empty(), [], 0, None
+        block = greedy_admissible_block(pool, self.local_ctx[shard - 1])
         breach = None
         if committee_fails(byz, len(certified)):
             breach = MonitorBreach(
@@ -269,42 +274,31 @@ class Simulation:
                 "honest-majority",
                 f"{byz} of {len(certified)} certified members are Byzantine",
             )
-            block = self._adversary_block(shard, pool, ctx, r)
-        else:
-            block = greedy_admissible_block(pool, ctx)
+            if self.cfg.adversary == "double-spend":
+                block = self._double_spend(block, shard, r)
         return block, certified, byz, breach
 
-    def _adversary_block(
-        self, shard: int, pool: set[Transaction], ctx: LedgerContext, r: int
-    ) -> Block:
-        """A compromised shard's output under the double-spend strategy."""
-        if self.cfg.adversary != "double-spend":
-            return greedy_admissible_block(pool, ctx)
-        interval = self.intervals[shard - 1]
-        reds_here = [
-            self.by_id[key_id]
-            for key_id in sorted(self.red)
-            if interval.contains(self.by_id[key_id].pk)
+    def _double_spend(self, base: Block, shard: int, r: int) -> Block:
+        """A compromised shard's greedy block, edited by the double-spend strategy.
+
+        The shard's lowest-id funded red key drops its own transactions and
+        pays its whole balance to each of the first two other clients.
+        """
+        funded = [
+            kp
+            for kp in self._clients_by_shard[shard - 1]
+            if kp.pk.id in self.red and self.global_ctx.balance(kp.pk) >= 1
         ]
-        victims = [
-            kp for kp in reds_here if self.global_ctx.balance(kp.pk) >= 1
-        ]
-        base = greedy_admissible_block(pool, ctx)
-        if not victims:
+        if not funded:
             return base
-        spender = victims[0]
+        spender = min(funded, key=lambda kp: kp.pk.id)
         bal = self.global_ctx.balance(spender.pk)
-        others = [kp for kp in self.clients if kp.pk != spender.pk]
+        payees = [kp.pk for kp in self.clients if kp.pk != spender.pk][:2]
         pair = [
-            build_transaction(
-                self.scheme, spender, [(others[0].pk, bal)], f"ds-r{r:06d}a"
-            ),
-            build_transaction(
-                self.scheme, spender, [(others[1].pk, bal)], f"ds-r{r:06d}b"
-            ),
+            build_transaction(self.scheme, spender, [(to, bal)], f"ds-r{r:06d}{tag}")
+            for to, tag in zip(payees, "ab")
         ]
-        kept = [tx for tx in base if tx.sender != spender.pk]
-        return Block.of(kept + pair)
+        return Block.of([tx for tx in base if tx.sender != spender.pk] + pair)
 
     def _sample_candidate(self, shard: int, r: int) -> Optional[Block]:
         """Random candidate block drawn from the shard's own senders."""

@@ -17,10 +17,9 @@ def test_launch_and_complete_swap_colors():
     state = _state()
     attack = state.launch(np.array([5, 6]), np.array([0, 1]), round=2)
     assert attack.completes == 5
-    assert state.under_attack[[5, 6]].all()
-    assert state.released[[0, 1]].all()
-    # Released balls keep their color until completion.
-    assert state.red[[0, 1]].all()
+    # Targets stay blue and releases red until completion; neither is free.
+    assert not state.red[[5, 6]].any() and not state.free_blue[[5, 6]].any()
+    assert state.red[[0, 1]].all() and not state.free_red[[0, 1]].any()
     assert state.capacity_used() == 5
 
     assert state.complete_due(4) == []
@@ -28,8 +27,9 @@ def test_launch_and_complete_swap_colors():
     assert [a.started for a in done] == [2]
     assert state.red[[5, 6]].all()
     assert not state.red[[0, 1]].any()
-    assert not state.under_attack.any()
-    assert not state.released.any()
+    # With no attack in flight, every ball is free.
+    assert np.array_equal(state.free_blue, ~state.red)
+    assert np.array_equal(state.free_red, state.red)
     assert state.completed == 1
 
 
@@ -71,16 +71,14 @@ def test_release_must_be_active_controlled():
 def _snapshot(state):
     return (
         state.red.copy(),
-        state.under_attack.copy(),
-        state.released.copy(),
         state.free_blue.copy(),
         state.free_red.copy(),
         state.n_free_blue,
         state.n_free_red,
-        state.n_under_attack,
         list(state.red_counts),
+        list(state.totals),
         state.launched,
-        state.peak_usage,
+        state.completed,
     )
 
 
@@ -109,29 +107,20 @@ def test_repeated_targets_or_releases_rejected():
     assert int(state.red.sum()) == 5
 
 
-def test_capacity_exceeded_detected_and_rolled_back():
-    # One-for-one trades keep usage flat, so force the capacity branch by
-    # seeding at full capacity and then shrinking the budget.
-    state = AdversaryState(20, 5, 3)
-    state.seed_red(np.array([0, 1, 2, 3, 4]))
-    state.capacity = 4
-    before_attack = state.under_attack.copy()
-    before_released = state.released.copy()
-    with pytest.raises(AttackError):
-        state.launch(np.array([5]), np.array([0]), round=1)
-    assert (state.under_attack == before_attack).all()
-    assert (state.released == before_released).all()
-    assert state.launched == 0
-
-
-def test_peak_usage_tracks_maximum():
-    state = _state()
-    assert state.peak_usage == 5
+def test_capacity_checked_at_seeding_and_usage_is_the_red_count():
+    state = AdversaryState(20, 4, 3)
+    before = _snapshot(state)
+    with pytest.raises(AttackError, match="capacity"):
+        state.seed_red(np.array([0, 1, 2, 3, 4]))
+    assert _same(_snapshot(state), before)
+    state.seed_red(np.array([0, 1, 2, 3]))
+    assert state.capacity_used() == 4
     state.launch(np.array([5]), np.array([0]), round=1)
-    assert state.peak_usage == 5
+    assert state.capacity_used() == 4
+    with pytest.raises(AttackError, match="in flight"):
+        state.seed_red(np.array([6]))
     state.complete_due(4)
-    assert state.peak_usage == 5
-    assert state.capacity_used() == 5
+    assert state.capacity_used() == int(state.red.sum()) == 4
 
 
 def test_plan_attack_greedy_targets_hottest_bin():
@@ -179,17 +168,55 @@ def test_plan_attack_unknown_strategy():
         plan_attack("static", state, 2, rng)
 
 
-def _check_against_recomputation(state, bins, m, n_red):
-    red, attacked, released = state.red, state.under_attack, state.released
-    assert np.array_equal(state.free_blue, ~red & ~attacked)
-    assert np.array_equal(state.free_red, red & ~released)
-    assert state.n_free_blue == int((~red & ~attacked).sum())
-    assert state.n_free_red == int((red & ~released).sum())
-    assert state.n_under_attack == int(attacked.sum())
-    assert state.capacity_used() == int((red & ~released).sum() + attacked.sum())
-    assert not (attacked & red).any() and not (released & ~red).any()
-    assert int(red.sum()) == n_red
-    assert state.red_counts == np.bincount(bins[red], minlength=m).tolist()
+class _Model:
+    """Each ball's status, kept apart from the state under test: seeded or
+    landed (red), targeted, released, driven by the launches the test makes
+    and the completions that fall due."""
+
+    def __init__(self, n, t_takeover):
+        self.t_takeover = t_takeover
+        self.red = np.zeros(n, dtype=bool)
+        self.targeted = np.zeros(n, dtype=bool)
+        self.released = np.zeros(n, dtype=bool)
+        self.due = {}
+
+    def allows(self, targets, releases):
+        """One-for-one, each ball once by its index, free blue targets, free red releases."""
+        free_blue, free_red = self.free()
+        balls = targets.tolist() + releases.tolist()
+        return (
+            0 < targets.size == releases.size
+            and min(balls) >= 0
+            and len(set(balls)) == len(balls)
+            and free_blue[targets].all()
+            and free_red[releases].all()
+        )
+
+    def launch(self, targets, releases, r):
+        self.targeted[targets] = True
+        self.released[releases] = True
+        self.due.setdefault(r + self.t_takeover, []).append((targets, releases))
+
+    def complete(self, r):
+        for targets, releases in self.due.pop(r, []):
+            self.targeted[targets] = False
+            self.red[targets] = True
+            self.released[releases] = False
+            self.red[releases] = False
+
+    def free(self):
+        return ~self.red & ~self.targeted, self.red & ~self.released
+
+
+def _check_against_model(state, model, bins, m):
+    free_blue, free_red = model.free()
+    assert np.array_equal(state.red, model.red)
+    assert np.array_equal(state.free_blue, free_blue)
+    assert np.array_equal(state.free_red, free_red)
+    assert state.n_free_blue == int(free_blue.sum())
+    assert state.n_free_red == int(free_red.sum())
+    assert state.capacity_used() == int(model.red.sum())
+    assert state.red_counts == np.bincount(bins[model.red], minlength=m).tolist()
     assert state.totals == np.bincount(bins, minlength=m).tolist()
 
 
@@ -197,22 +224,32 @@ def _check_against_recomputation(state, bins, m, n_red):
 @given(st.data())
 def test_maintained_state_matches_recomputation(data):
     """Random launches (valid, planned and rejected), completions and moves
-    leave every maintained mask, counter and per-bin count equal to its
-    recomputation from ``red``, ``under_attack``, ``released`` and ``bins``."""
+    leave the colors, free masks, their sizes, the usage and the per-bin
+    counts equal to those of a model that tracks each ball's status."""
     n = data.draw(st.integers(2, 24), label="n")
     m = data.draw(st.integers(1, 5), label="m")
     n_red = data.draw(st.integers(0, n), label="n_red")
     capacity = data.draw(st.integers(max(0, n_red - 2), n_red), label="capacity")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    state = AdversaryState(n, capacity, data.draw(st.integers(1, 4), label="t_takeover"))
+    t_takeover = data.draw(st.integers(1, 4), label="t_takeover")
+    state = AdversaryState(n, capacity, t_takeover)
+    model = _Model(n, t_takeover)
     bins = rng.integers(0, m, n)
     track_first = data.draw(st.booleans(), label="track before seeding")
     if track_first:
         state.track(bins, m)
-    state.seed_red(rng.choice(n, size=n_red, replace=False))
+    seeded = rng.choice(n, size=n_red, replace=False)
+    if capacity < n_red:
+        before = _snapshot(state)
+        with pytest.raises(AttackError):
+            state.seed_red(seeded)
+        assert _same(_snapshot(state), before)
+    else:
+        state.seed_red(seeded)
+        model.red[seeded] = True
     if not track_first:
         state.track(bins, m)
-    _check_against_recomputation(state, bins, m, n_red)
+    _check_against_model(state, model, bins, m)
 
     ball = st.integers(0, n - 1)
     for r in range(1, data.draw(st.integers(1, 10), label="rounds") + 1):
@@ -221,7 +258,8 @@ def test_maintained_state_matches_recomputation(data):
             bins[movers] = rng.integers(0, m, len(movers))
             state.recount()
         state.complete_due(r)
-        _check_against_recomputation(state, bins, m, n_red)
+        model.complete(r)
+        _check_against_model(state, model, bins, m)
         for _ in range(data.draw(st.integers(0, 3), label="launches")):
             kind = data.draw(st.sampled_from(["greedy", "random", "free", "any"]))
             if kind in ("greedy", "random"):
@@ -233,8 +271,9 @@ def test_maintained_state_matches_recomputation(data):
             else:
                 # Free balls, each also by its negative alias, so that lists
                 # may repeat a ball under two spellings.
-                blues = [b - s for b in np.flatnonzero(state.free_blue) for s in (0, n)]
-                reds = [b - s for b in np.flatnonzero(state.free_red) for s in (0, n)]
+                free_blue, free_red = model.free()
+                blues = [b - s for b in np.flatnonzero(free_blue) for s in (0, n)]
+                reds = [b - s for b in np.flatnonzero(free_red) for s in (0, n)]
                 if kind == "any" or not blues or not reds:
                     blues = reds = list(range(-n, n))
                 # "free" draws equal sizes; "any" may mismatch them.
@@ -249,15 +288,20 @@ def test_maintained_state_matches_recomputation(data):
                     dtype=int,
                 )
             before = _snapshot(state)
+            allowed = model.allows(targets, releases)
             try:
                 state.launch(targets, releases, r)
             except AttackError:
+                assert not allowed
                 assert _same(_snapshot(state), before)
             else:
-                assert state.launched == before[9] + 1
-            _check_against_recomputation(state, bins, m, n_red)
+                assert allowed
+                model.launch(targets, releases, r)
+                assert state.launched == before[7] + 1
+            _check_against_model(state, model, bins, m)
     for r in range(r + 1, r + 6):
         state.complete_due(r)
-    _check_against_recomputation(state, bins, m, n_red)
+        model.complete(r)
+    _check_against_model(state, model, bins, m)
     assert state.completed == state.launched
-    assert not state.under_attack.any() and not state.released.any()
+    assert not model.targeted.any() and not model.released.any()

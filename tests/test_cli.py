@@ -213,6 +213,14 @@ def test_negative_mode_in_file_only_records_the_flag(tmp_path, recorded, flag, e
     assert main(argv) == expect
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle-compare"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -250,11 +258,24 @@ def test_oracle_compare_divergence(tmp_path):
     assert rows[2][3] == "False"  # first played round diverges
 
 
+def test_oracle_compare_breach_exit(tmp_path, capsys):
+    cfg = _write(
+        tmp_path, TIGHT_INI.replace("[run]\n", "[run]\nm = 3\nsync = lazy\nt_lease = 3\n")
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["oracle-compare", "--config", cfg, "--out", str(out), "--negative-mode", "broken-sync"]
+    )
+    assert code == EXIT_BREACH
+    assert capsys.readouterr().out.startswith("halted at round 1: self-containment (shard 1): ")
+
+
 def test_oracle_compare_rejects_adversarial_config(tmp_path):
     cfg = _write(tmp_path, "[run]\nbyzantine_fraction = 0.2\nadversary = double-spend\n")
     out = tmp_path / "out"
     code = main(["oracle-compare", "--config", cfg, "--out", str(out)])
     assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 # -- bins-mc ------------------------------------------------------------------

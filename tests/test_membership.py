@@ -482,7 +482,6 @@ def test_by_shard_equals_scan_of_certificates(m, t_lease, joins, rounds):
         mem.register_nodes(r, [kp.pk for kp, t in zip(joiners, joins) if t == r])
         mem.end_of_round(r, [None] * mem.m)
         assert mem.by_shard == _scanned_by_shard(mem)
-        assert shard_counts(mem) == [len(certs) for certs in mem.by_shard]
         seated = sum(rec.cert is not None for rec in mem.records.values())
         assert sum(shard_counts(mem)) == seated
 

@@ -50,6 +50,10 @@ def _cfg(**kw) -> RunConfig:
         dict(initial_balance=-5),
         dict(self_containment_samples=-1),
         dict(negative_mode="sabotage"),
+        dict(seed=-1),
+        dict(initial_balance=2**64),
+        dict(n=4, initial_balance=2**60),  # total supply 2**62
+        dict(max_amount=2**63),
     ],
 )
 def test_validate_rejects(kw):
@@ -60,6 +64,15 @@ def test_validate_rejects(kw):
 def test_validate_accepts_defaults():
     _cfg().validate()
     _cfg(sync="lazy", t_lease=10).validate()
+
+
+@pytest.mark.parametrize("sync,t_lease", [("eager", 1), ("lazy", 2)])
+def test_largest_accepted_amounts_run(sync, t_lease):
+    # Balances, workload amounts and sampled amounts all fit their encodings.
+    cfg = _cfg(
+        n=4, rounds=3, sync=sync, t_lease=t_lease, initial_balance=2**60 - 1, max_amount=2**63 - 1
+    )
+    assert not Simulation(cfg).run().halted
 
 
 def test_simulator_rejects_bins_only_adversaries():
@@ -252,8 +265,7 @@ def test_wrong_shard_certificates_are_discarded():
     real = sim.membership.by_shard[0]
     assert real, "shard 1 should be populated"
     # Present shard 1's certificates as if they claimed shard 2 seats.
-    forged = [MembershipCertificate(c.pk, c.shard, c.sigma, c.round) for c in real]
-    block, certified, byz, breach = sim.decide_sub_block(2, forged, set(), 1)
+    block, certified, byz, breach = sim.decide_sub_block(2, real, set(), 1)
     assert certified == []
     assert len(block) == 0
     assert byz == 0 and breach is None
@@ -262,7 +274,7 @@ def test_wrong_shard_certificates_are_discarded():
 def test_tampered_sigma_is_discarded():
     sim = Simulation(_cfg(n=30, m=2, rounds=2))
     real = sim.membership.by_shard[0]
-    forged = [MembershipCertificate(c.pk, c.shard, b"\x00" * 32, c.round) for c in real]
+    forged = [MembershipCertificate(c.pk, c.shard, b"\x00" * 32) for c in real]
     block, certified, _, _ = sim.decide_sub_block(1, forged, set(), 1)
     assert certified == []
     assert len(block) == 0
