@@ -107,7 +107,9 @@ def test_repeated_targets_or_releases_rejected():
     assert int(state.red.sum()) == 5
 
 
-def test_capacity_checked_at_seeding_and_usage_is_the_red_count():
+def test_capacity_exceeded_detected_and_rolled_back():
+    # Trades are one-for-one, so capacity is checked where reds are seeded:
+    # an over-capacity seeding is rejected and leaves the state untouched.
     state = AdversaryState(20, 4, 3)
     before = _snapshot(state)
     with pytest.raises(AttackError, match="capacity"):
@@ -116,11 +118,19 @@ def test_capacity_checked_at_seeding_and_usage_is_the_red_count():
     state.seed_red(np.array([0, 1, 2, 3]))
     assert state.capacity_used() == 4
     state.launch(np.array([5]), np.array([0]), round=1)
-    assert state.capacity_used() == 4
     with pytest.raises(AttackError, match="in flight"):
         state.seed_red(np.array([6]))
+
+
+def test_peak_usage_tracks_maximum():
+    # Usage is the red count, which one-for-one trades never change, so the
+    # usage after seeding is the peak a run reports.
+    state = _state()
+    assert state.capacity_used() == 5
+    state.launch(np.array([5]), np.array([0]), round=1)
+    assert state.capacity_used() == 5
     state.complete_due(4)
-    assert state.capacity_used() == int(state.red.sum()) == 4
+    assert state.capacity_used() == int(state.red.sum()) == 5
 
 
 def test_plan_attack_greedy_targets_hottest_bin():
