@@ -70,7 +70,7 @@ def million_year_bound(per_round_bound: float) -> float:
 
 
 def log10_million_year_bound(n: int, m: int) -> float:
-    return log10_failure_bound(n, m) + math.log10(ROUNDS_PER_MILLION_YEARS)
+    return min(0.0, log10_failure_bound(n, m)) + math.log10(ROUNDS_PER_MILLION_YEARS)
 
 
 def bound_table(rows: Iterable[tuple[int, int]]) -> list[dict]:

@@ -63,7 +63,7 @@ class BinsConfig:
     seed: int = 0
 
 
-# Fields that only one bins mode reads; the other mode neither uses nor echoes them.
+# Fields only one bins mode reads; the other mode rejects them and does not echo them.
 _STATIC_ONLY = ("trials",)
 _ITERATED_ONLY = ("t_lease", "rounds", "strategy", "t_takeover", "attack_size")
 
@@ -117,8 +117,8 @@ def _read_ini(path: Optional[str]) -> configparser.ConfigParser:
         if not target.is_file():
             raise ConfigError(f"config file {path!r} does not exist")
         try:
-            cp.read(target)
-        except configparser.Error as exc:
+            cp.read(target, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
     if cp.defaults():
         raise ConfigError(f"{path!r}: [DEFAULT] is not a config section")
@@ -201,11 +201,8 @@ def _simulate(args, honest: bool = False) -> tuple[RunConfig, Path, RunResult]:
             f"{in_force}; defects are injected from the command line only"
         )
     cfg = _load(RunConfig, cp, seed=args.seed, rounds=args.rounds, negative_mode=in_force)
-    cfg.validate()
     if honest and (cfg.byzantine_fraction > 0 or cfg.adversary != "none"):
         raise ConfigError("oracle-compare requires an all-honest configuration")
-    # The echo records the sample count in force, not "variant default".
-    cfg.self_containment_samples = cfg.containment_samples
     out = _out_dir(args)
     _dump(cfg, out)
     return cfg, out, Simulation(cfg).run()
@@ -266,21 +263,27 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_bins_mc(args) -> int:
-    cfg = _load(BinsConfig, _read_ini(args.config), seed=args.seed, rounds=args.rounds)
+    cp = _read_ini(args.config)
+    cfg = _load(BinsConfig, cp, seed=args.seed, rounds=args.rounds)
+    if cfg.mode not in ("static", "iterated"):
+        raise ConfigError(f"unknown bins mode {cfg.mode!r}")
     if cfg.mode == "static" and args.rounds is not None:
         raise ConfigError("--rounds applies to iterated bins-mc only")
+    unused = _ITERATED_ONLY if cfg.mode == "static" else _STATIC_ONLY
+    for key in unused:
+        if cp.has_option("bins", key):
+            raise ConfigError(f"[bins] {key} does not apply to {cfg.mode} bins-mc")
     if cfg.mode == "static":
         try:
             res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        unused = _ITERATED_ONLY
         columns = [f.name for f in dataclasses.fields(res)]
         print(
             f"{res.failures} failing trials of {res.trials} "
             f"(rate {res.rate:.3g}, bound {res.analytic_bound:.3g})"
         )
-    elif cfg.mode == "iterated":
+    else:
         try:
             res = mc_iterated_lazy(
                 cfg.n,
@@ -296,7 +299,6 @@ def cmd_bins_mc(args) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        unused = _STATIC_ONLY
         # Not the dataclass fields: those also hold the failure rounds and captures.
         columns = [
             "n",
@@ -312,8 +314,6 @@ def cmd_bins_mc(args) -> int:
             "peak_capacity_used",
         ]
         print(f"{res.failures} failing rounds of {res.rounds} ({cfg.strategy})")
-    else:
-        raise ConfigError(f"unknown bins mode {cfg.mode!r}")
     out = _out_dir(args)
     if cfg.mode == "iterated":
         _write_csv(out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds))

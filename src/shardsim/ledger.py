@@ -150,23 +150,13 @@ class LedgerContext:
     def __init__(self, scheme: SignatureScheme, mint: PublicKey) -> None:
         self.scheme = scheme
         self.mint = mint
-        self._mint_id = mint.id
         self.entries: list[ContextEntry] = []
-        self._balances: dict[str, int] = {}
-        self._seen: set[str] = set()
-
-    @property
-    def seen_tx_ids(self) -> set[str]:
-        return self._seen
-
-    @property
-    def balances(self) -> dict[str, int]:
-        """Balance per key id; the mint has none."""
-        return self._balances
+        self.balances: dict[str, int] = {}  # per key id; the mint has none
+        self.seen_tx_ids: set[str] = set()
 
     def append(self, block: Block, round: int, remote: bool = False) -> None:
         self.entries.append(ContextEntry(round, block, remote))
-        balances, mint_id, seen = self._balances, self._mint_id, self._seen
+        balances, mint_id, seen = self.balances, self.mint.id, self.seen_tx_ids
         for tx in block:
             seen.add(tx.tx_id)
             sender = tx.sender.id
@@ -178,10 +168,11 @@ class LedgerContext:
                     balances[to] = balances.get(to, 0) + out.amount
 
     def balance(self, pk: PublicKey) -> int:
-        return self._balances.get(pk.id, 0)
+        return self.balances.get(pk.id, 0)
 
-    def tx_count(self, min_round: int = 0) -> int:
-        return sum(len(e.block) for e in self.entries if e.round >= min_round)
+    def tx_count(self) -> int:
+        """Transactions appended after genesis, which is round 0."""
+        return sum(len(e.block) for e in self.entries if e.round > 0)
 
 
 def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
@@ -198,7 +189,7 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
     never changes or drops a registered key's secret, so S accepting T stays
     true. Rejections are not kept; other schemes and copies check afresh.
     """
-    seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx._mint_id, ctx.balances
+    seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx.mint.id, ctx.balances
     spend: dict[str, int] = {}
     kept: list[Transaction] = []
     kept_ids: set[str] = set()

@@ -56,8 +56,15 @@ class ConfigError(Exception):
     """Rejected run configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A run's configuration, checked and resolved when it is built.
+
+    ``self_containment_samples = None`` resolves to 20 per shard per round under
+    lazy sync, where the monitor must run every round, and to 0 under eager. A
+    ``dataclasses.replace`` that changes ``sync`` keeps the resolved count.
+    """
+
     n: int = 40
     m: int = 2
     rounds: int = 10
@@ -70,18 +77,10 @@ class RunConfig:
     max_amount: int = 50
     initial_balance: int = 1000
     genesis_seed: bytes = DEFAULT_GENESIS_SEED
-    # None means the variant default: 20 samples per shard per round under
-    # lazy sync (the monitor must run every round there), 0 under eager.
     self_containment_samples: Optional[int] = None
     negative_mode: str = "none"
 
-    @property
-    def containment_samples(self) -> int:
-        if self.self_containment_samples is not None:
-            return self.self_containment_samples
-        return 20 if self.sync == "lazy" else 0
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.m < 1:
@@ -115,7 +114,9 @@ class RunConfig:
         # (up to twice a balance) then stay below 2**63.
         if self.n * self.initial_balance >= 2**62:
             raise ConfigError("n * initial_balance must stay below 2**62")
-        if self.self_containment_samples is not None and self.self_containment_samples < 0:
+        if self.self_containment_samples is None:
+            object.__setattr__(self, "self_containment_samples", 20 if self.sync == "lazy" else 0)
+        elif self.self_containment_samples < 0:
             raise ConfigError("self_containment_samples must be non-negative")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ConfigError(f"unknown negative mode {self.negative_mode!r}")
@@ -145,24 +146,30 @@ class RunResult:
     records: list[RoundRecord] = field(default_factory=list)
     breaches: list[MonitorBreach] = field(default_factory=list)
     global_blocks: list[tuple[str, ...]] = field(default_factory=list)
-    halted_round: Optional[int] = None
     local_fractions: list[float] = field(default_factory=list)
-    rounds_completed: int = 0
 
     @property
     def admitted(self) -> int:
         return sum(len(ids) for ids in self.global_blocks[1:])
 
     @property
+    def rounds_completed(self) -> int:
+        # Every round publishes one block after genesis.
+        return len(self.global_blocks) - 1
+
+    @property
     def halted(self) -> bool:
-        return self.halted_round is not None
+        return bool(self.breaches)
+
+    @property
+    def halted_round(self) -> Optional[int]:
+        return self.rounds_completed if self.breaches else None
 
 
 class Simulation:
     """One sharded run. Construction bootstraps; ``run`` plays the rounds."""
 
     def __init__(self, cfg: RunConfig) -> None:
-        cfg.validate()
         self.cfg = cfg
         self.scheme = SignatureScheme()
         self.mint = self.scheme.keygen("mint")
@@ -330,7 +337,7 @@ class Simulation:
     def _self_containment_breaches(self, r: int) -> list[MonitorBreach]:
         breaches = []
         for shard in range(1, self.cfg.m + 1):
-            for _ in range(self.cfg.containment_samples):
+            for _ in range(self.cfg.self_containment_samples):
                 candidate = self._sample_candidate(shard, r)
                 if candidate is None:
                     continue
@@ -406,7 +413,7 @@ class Simulation:
                 source = Block.of(tx for tx in published if tx.tx_id not in ids)
             self._append_local(own, source, shard, r)
 
-        if cfg.containment_samples > 0:
+        if cfg.self_containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))
 
         self.membership.end_of_round(r, leaders)
@@ -415,14 +422,12 @@ class Simulation:
     def run(self) -> RunResult:
         for r in range(1, self.cfg.rounds + 1):
             breaches = self.run_round(r)
-            self.result.rounds_completed = r
             if breaches:
                 self.result.breaches.extend(breaches)
-                self.result.halted_round = r
                 break
-        total = self.global_ctx.tx_count(min_round=1)
+        total = self.global_ctx.tx_count()
         self.result.local_fractions = [
-            (ctx.tx_count(min_round=1) / total) if total else 0.0
+            (ctx.tx_count() / total) if total else 0.0
             for ctx in self.local_ctx
         ]
         return self.result
@@ -434,7 +439,6 @@ def run_unsharded_oracle(cfg: RunConfig) -> list[tuple[str, ...]]:
     Kept deliberately independent of the sharded driver; it shares only
     the ledger primitives and the workload generator.
     """
-    cfg.validate()
     scheme = SignatureScheme()
     mint = scheme.keygen("mint")
     clients = [scheme.keygen(f"u{i:05d}") for i in range(cfg.n)]

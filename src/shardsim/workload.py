@@ -6,8 +6,8 @@ same pending transactions independently. Transactions unadmitted in their
 arrival round are dropped by the driver, so no hidden pool state leaks
 between rounds.
 
-Zero-padded tx_ids make lexicographic order equal generation order, which
-pins down the greedy consensus rule's scan order.
+Zero-padded tx_ids make lexicographic order equal generation order for up to
+10**4 transactions per round (``t%04d``), pinning the greedy rule's scan order.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def test_criterion_02_self_containment():
     sampled = 0
     for m in (2, 4):
         cfg = RunConfig(n=400, m=m, rounds=1000, seed=1, sync="lazy", t_lease=5)
-        assert cfg.containment_samples == 20
+        assert cfg.self_containment_samples == 20
         res = Simulation(cfg).run()
         sampled += 20 * m * res.rounds_completed
         if res.halted or res.breaches:

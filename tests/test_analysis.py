@@ -85,6 +85,13 @@ def test_million_year_bound_rejects_non_probability():
         million_year_bound(1.5)
 
 
+@pytest.mark.parametrize("n, m", [(400, 4), (1000, 8), (6000, 4)])
+def test_bound_table_million_year_forms_agree(n, m):
+    # A per-round bound above 1 is clamped to 1 in both forms.
+    (row,) = bound_table([(n, m)])
+    assert 10 ** row["log10_million_year"] == pytest.approx(row["million_year_bound"], rel=1e-9)
+
+
 def test_bound_table_rows():
     rows = bound_table([(150_000_000, 10_000), (6000, 4)])
     assert [((r["n"], r["m"])) for r in rows] == [(150_000_000, 10_000), (6000, 4)]

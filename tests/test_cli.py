@@ -185,6 +185,15 @@ def test_percent_sign_is_a_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.ini"
+    cfg.write_bytes(b"# caf\xe9\n[run]\nn = 40\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: cannot parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["[DEFAULT]\nwarp = 9\n", "[DEFAULT]\nm = 4\n[run]\n"])
 def test_default_section_is_a_config_error(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
@@ -330,6 +339,23 @@ def test_bins_mc_adaptive(tmp_path):
 def test_bins_mc_static_rejects_rounds(tmp_path):
     out = tmp_path / "out"
     assert main(["bins-mc", "--out", str(out), "--rounds", "5"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = static\ntrials = 10\nrounds = 5\n",
+        "mode = static\ntrials = 10\nstrategy = adaptive-greedy\n",
+        "mode = iterated\nrounds = 20\ntrials = 7\n",
+    ],
+    ids=["static-rounds", "static-strategy", "iterated-trials"],
+)
+def test_bins_mc_rejects_keys_of_the_other_mode(tmp_path, text, capsys):
+    cfg = _write(tmp_path, "[bins]\nn = 100\nm = 4\n" + text)
+    out = tmp_path / "out"
+    assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "does not apply to" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -57,13 +57,23 @@ def _cfg(**kw) -> RunConfig:
     ],
 )
 def test_validate_rejects(kw):
+    # A config is checked when it is built.
     with pytest.raises(ConfigError):
-        _cfg(**kw).validate()
+        _cfg(**kw)
 
 
 def test_validate_accepts_defaults():
-    _cfg().validate()
-    _cfg(sync="lazy", t_lease=10).validate()
+    _cfg()
+    _cfg(sync="lazy", t_lease=10)
+
+
+def test_config_is_frozen():
+    cfg = _cfg()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.self_containment_samples = -1
+    assert cfg.n == 40 and cfg.self_containment_samples == 0
 
 
 @pytest.mark.parametrize("sync,t_lease", [("eager", 1), ("lazy", 2)])
@@ -82,10 +92,10 @@ def test_simulator_rejects_bins_only_adversaries():
 
 
 def test_containment_samples_default_policy():
-    assert _cfg(sync="eager").containment_samples == 0
-    assert _cfg(sync="lazy", t_lease=5).containment_samples == 20
-    assert _cfg(sync="lazy", t_lease=5, self_containment_samples=7).containment_samples == 7
-    assert _cfg(sync="eager", self_containment_samples=3).containment_samples == 3
+    assert _cfg(sync="eager").self_containment_samples == 0
+    assert _cfg(sync="lazy", t_lease=5).self_containment_samples == 20
+    assert _cfg(sync="lazy", t_lease=5, self_containment_samples=7).self_containment_samples == 7
+    assert _cfg(sync="eager", self_containment_samples=3).self_containment_samples == 3
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -141,6 +151,7 @@ def test_zero_rate_produces_empty_rounds():
     res = Simulation(_cfg(n=10, m=2, rounds=5, tx_rate=0)).run()
     assert res.global_blocks[1:] == [()] * 5
     assert res.admitted == 0
+    assert res.local_fractions == [0.0, 0.0]  # genesis is not counted
     assert not res.halted
 
 
@@ -345,6 +356,22 @@ def test_broken_sync_trips_containment_monitor():
     assert res.halted_round is not None and res.halted_round <= 5
     kinds = {b.kind for b in res.breaches}
     assert "self-containment" in kinds
+
+
+@pytest.mark.parametrize(
+    "kw, halts",
+    [
+        (dict(m=2, sync="lazy", t_lease=3, negative_mode="broken-sync", **TIGHT), True),
+        (dict(m=2, **dict(TIGHT, rounds=6)), False),
+    ],
+    ids=["halting", "honest"],
+)
+def test_result_derives_rounds_and_halt(kw, halts):
+    res = Simulation(_cfg(**kw)).run()
+    assert res.halted == bool(res.breaches) == halts
+    assert res.rounds_completed == len(res.global_blocks) - 1
+    assert res.rounds_completed == (res.breaches[0].round if halts else kw["rounds"])
+    assert res.halted_round == (res.breaches[0].round if halts else None)
 
 
 def test_broken_sync_needs_the_monitor():
