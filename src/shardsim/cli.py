@@ -251,9 +251,12 @@ def cmd_oracle_compare(args) -> int:
     if divergence is not None:
         only_sharded = set(sharded[divergence]) - set(oracle[divergence])
         only_oracle = set(oracle[divergence]) - set(sharded[divergence])
+        at_divergence = (rec for rec in result.records if rec.round == divergence)
+        empty = [rec.shard for rec in at_divergence if rec.status == "no-committee"]
         print(
             f"mismatch at round {divergence}: "
             f"{sorted(only_sharded)} only sharded, {sorted(only_oracle)} only oracle"
+            + (f"; no committee in shards {empty}" if empty else "")
         )
         return EXIT_MISMATCH
     if result.halted:

@@ -22,6 +22,7 @@ verify, a second context on the same scheme) skip the signature check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .keys import PublicKey, KeyPair, SignatureScheme
@@ -29,6 +30,9 @@ from .keys import PublicKey, KeyPair, SignatureScheme
 
 class LedgerError(Exception):
     """Structurally invalid ledger object."""
+
+
+_TX_ID = attrgetter("tx_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +131,10 @@ class Block:
 
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self.txs)
+
+    def sorted_ids(self) -> tuple[str, ...]:
+        """The block's tx_ids in sorted order, as a run records its blocks."""
+        return tuple(sorted(map(_TX_ID, self.txs)))
 
 
 @dataclass(frozen=True)
@@ -257,4 +265,4 @@ def greedy_admissible_block(pool: Iterable[Transaction], ctx: LedgerContext) -> 
     candidate. This is the idealized honest consensus output, shared by
     the sharded run and the unsharded oracle.
     """
-    return Block.of(_admit(sorted(pool, key=lambda t: t.tx_id), ctx))
+    return Block.of(_admit(sorted(pool, key=_TX_ID), ctx))

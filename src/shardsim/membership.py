@@ -131,8 +131,9 @@ class Membership:
             if pk.id in mem.records:
                 raise MembershipError(f"duplicate genesis key {pk.id!r}")
             mem.records[pk.id] = NodeRecord(pk, 0, shuffle_slot(pk, seed, t_lease))
+        # Every genesis epoch at round 1 starts at round 1.
         for key_id, record in mem.records.items():
-            record.cert = mem._issue(record, mem.scheme.keypair(key_id).sk, 1)
+            record.cert = mem._issue(record, mem.scheme.keypair(key_id).sk, seed)
             mem.by_shard[record.cert.shard - 1].append(record.cert)
         return mem
 
@@ -178,12 +179,11 @@ class Membership:
             raise EligibilityError(f"{kp.pk.id!r} is not registered")
         if not self._record_eligible(record, r):
             raise EligibilityError(f"{kp.pk.id!r} may not participate at round {r}")
-        return self._issue(record, kp.sk, r)
+        return self._issue(record, kp.sk, self._seed_at(self.epoch_start(record.t_shuffle, r)))
 
-    def _issue(self, record: NodeRecord, sk: bytes, r: int) -> MembershipCertificate:
-        """Sign the seed of the record's epoch start; the caller checked eligibility."""
-        assert record.t_shuffle is not None
-        sigma = self.scheme.sign(sk, self._seed_at(self.epoch_start(record.t_shuffle, r)))
+    def _issue(self, record: NodeRecord, sk: bytes, seed: bytes) -> MembershipCertificate:
+        """Sign ``seed``, the one the record's epoch starts at; the caller checked eligibility."""
+        sigma = self.scheme.sign(sk, seed)
         return MembershipCertificate(record.pk, shard_index(unit_hash(sigma), self.m), sigma)
 
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
@@ -251,12 +251,13 @@ class Membership:
         )
         redrawn: set[str] = set()
         by_shard: list[list[MembershipCertificate]] = [[] for _ in range(self.m)]
+        # A key whose slot comes up at r+1 starts its epoch there, at ``seed``.
         slot = (r + 1) % self.t_lease
         for key_id, record in self.records.items():
             if record.t_shuffle is None and record.t_join + self.t_lease == r + 1:
                 record.t_shuffle = shuffle_slot(record.pk, seed, self.t_lease)
             if record.t_shuffle == slot and self._record_eligible(record, r + 1):
-                record.cert = self._issue(record, self.scheme.keypair(key_id).sk, r + 1)
+                record.cert = self._issue(record, self.scheme.keypair(key_id).sk, seed)
                 redrawn.add(key_id)
             if record.cert is not None:
                 by_shard[record.cert.shard - 1].append(record.cert)

@@ -237,7 +237,7 @@ class Simulation:
         self.global_ctx.append(b0, round=0)
         for i, part in enumerate(self.spec.part(b0), start=1):
             self._append_local(Block.of(part), b0, i, 0)
-        self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in b0)))
+        self.result.global_blocks.append(b0.sorted_ids())
 
     def _append_local(self, own: Block, published: Block, shard: int, r: int) -> None:
         """Append the shard's own sub-block, then its remote support."""
@@ -375,7 +375,8 @@ class Simulation:
             sub_blocks.append(block)
             # The first certified member leads; an empty sub-block has no leader.
             leaders.append(self.by_id[certified[0].id] if block else None)
-            status = "ok"
+            # A shard without a committee drops its pending transactions; the run goes on.
+            status = "ok" if certified else "no-committee"
             if breach is not None:
                 breaches.append(breach)
                 status = breach.kind
@@ -403,7 +404,7 @@ class Simulation:
                 )
             )
         self.global_ctx.append(published, round=r)
-        self.result.global_blocks.append(tuple(sorted(tx.tx_id for tx in published)))
+        self.result.global_blocks.append(published.sorted_ids())
 
         for shard, own in enumerate(sub_blocks, start=1):
             source = published
@@ -445,12 +446,12 @@ def run_unsharded_oracle(cfg: RunConfig) -> list[tuple[str, ...]]:
     ctx = LedgerContext(scheme, mint.pk)
     b0 = genesis_block(scheme, mint, clients, cfg.initial_balance)
     ctx.append(b0, round=0)
-    blocks = [tuple(sorted(tx.tx_id for tx in b0))]
+    blocks = [b0.sorted_ids()]
     for r in range(1, cfg.rounds + 1):
         pool = round_transactions(scheme, clients, cfg.tx_rate, cfg.max_amount, cfg.seed, r)
         block = greedy_admissible_block(pool, ctx)
         ctx.append(block, round=r)
-        blocks.append(tuple(sorted(tx.tx_id for tx in block)))
+        blocks.append(block.sorted_ids())
     return blocks
 
 

@@ -15,8 +15,13 @@ from .partition import KeyInterval
 
 
 def eager_collect_support(published: Block, interval: KeyInterval) -> Block:
-    """All transactions whose sender lives outside the shard's ``interval``."""
-    return Block.of(tx for tx in published if not interval.contains(tx.sender))
+    """All transactions whose sender lives outside the shard's ``interval``.
+
+    Built as the published set minus the shard's own senders, so the set
+    difference reuses the hashes the published frozenset already holds.
+    """
+    own = [tx for tx in published if interval.contains(tx.sender)]
+    return Block(published.txs.difference(own))
 
 
 def lazy_collect_support(published: Block, interval: KeyInterval) -> Block:

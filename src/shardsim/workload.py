@@ -47,16 +47,13 @@ def round_transactions(
     # Uniform over the other n-1 keys; offset trick avoids resampling loops.
     offsets = rng.integers(1, n, tx_rate)
     amounts = rng.integers(1, max_amount + 1, tx_rate)
-    txs = []
-    for k in range(tx_rate):
-        sender = clients[int(senders[k])]
-        recipient = clients[(int(senders[k]) + int(offsets[k])) % n]
-        txs.append(
-            build_transaction(
-                scheme,
-                sender,
-                [(recipient.pk, int(amounts[k]))],
-                f"r{round:06d}t{k:04d}",
-            )
+    recipients = (senders + offsets) % n
+    prefix = f"r{round:06d}t"
+    return [
+        build_transaction(
+            scheme, clients[s], [(clients[t].pk, amount)], f"{prefix}{k:04d}"
         )
-    return txs
+        for k, (s, t, amount) in enumerate(
+            zip(senders.tolist(), recipients.tolist(), amounts.tolist())
+        )
+    ]

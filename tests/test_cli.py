@@ -252,7 +252,7 @@ def test_oracle_compare_honest_match(tmp_path):
     assert all(row[1] == row[2] for row in rows[1:])
 
 
-def test_oracle_compare_divergence(tmp_path):
+def test_oracle_compare_divergence(tmp_path, capsys):
     cfg = _write(tmp_path, TIGHT_INI)
     out = tmp_path / "out"
     code = main(
@@ -265,6 +265,8 @@ def test_oracle_compare_divergence(tmp_path):
     rows = _rows(out / "compare.csv")
     assert rows[1][3] == "True"   # genesis agrees
     assert rows[2][3] == "False"  # first played round diverges
+    # Every committee is seated, so the line names no empty shard.
+    assert capsys.readouterr().out.endswith(" only oracle\n")
 
 
 def test_oracle_compare_breach_exit(tmp_path, capsys):
@@ -277,6 +279,39 @@ def test_oracle_compare_breach_exit(tmp_path, capsys):
     )
     assert code == EXIT_BREACH
     assert capsys.readouterr().out.startswith("halted at round 1: self-containment (shard 1): ")
+
+
+EMPTY_COMMITTEE_INI = """\
+[run]
+n = 15
+m = 8
+rounds = 5
+seed = 254825
+
+[workload]
+tx_rate = 31
+max_amount = 33
+initial_balance = 23
+"""
+
+
+def test_empty_committee_is_reported_not_halted(tmp_path, capsys):
+    # Shard 6 seats no certified member in round 2: its pending transactions
+    # are dropped, so the run diverges from the oracle without a breach.
+    cfg = _write(tmp_path, EMPTY_COMMITTEE_INI)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "completed 5 rounds, 49 transactions admitted\n"
+    rounds = _rows(out / "rounds.csv")[1:]
+    assert ["2", "6", "0", "0", "0", "0", "no-committee"] in rounds
+    assert all((row[3] == "0") == (row[6] == "no-committee") for row in rounds)
+    assert _summary(out / "summary.csv")["halted_round"] == ""
+
+    out = tmp_path / "cmp"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == EXIT_MISMATCH
+    line = capsys.readouterr().out
+    assert line.startswith("mismatch at round 2: [] only sharded, ")
+    assert line.endswith(" only oracle; no committee in shards [6]\n")
 
 
 def test_oracle_compare_rejects_adversarial_config(tmp_path):

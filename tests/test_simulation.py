@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.ledger import Block, build_transaction, verify
 from shardsim.membership import MembershipCertificate, committee_fails
@@ -171,6 +172,37 @@ def test_sharded_run_equals_oracle(m, sync, t_lease):
     oracle = run_unsharded_oracle(cfg)
     assert first_divergence(res.global_blocks, oracle) is None
     assert len(res.global_blocks) == len(oracle) == 7
+
+
+# The exact check as a property: small honest configs, tight balances so that
+# greedy rejects often, and committees small enough that a shard can be empty.
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    m=st.integers(1, 8),
+    rounds=st.integers(1, 6),
+    seed=st.integers(0, 2**20),
+    lease=st.sampled_from([None, 1, 2, 3]),  # None: eager, else lazy
+    tx_rate=st.integers(0, 40),
+    max_amount=st.integers(1, 40),
+    initial_balance=st.integers(0, 40),
+)
+def test_honest_run_equals_oracle_unless_a_committee_is_empty(
+    n, m, rounds, seed, lease, tx_rate, max_amount, initial_balance
+):
+    cfg = _cfg(
+        n=n, m=m, rounds=rounds, seed=seed,
+        sync="eager" if lease is None else "lazy", t_lease=lease or 1,
+        tx_rate=tx_rate, max_amount=max_amount, initial_balance=initial_balance,
+    )
+    res = Simulation(cfg).run()
+    assert not res.halted, res.breaches
+    assert res.rounds_completed == rounds
+    div = first_divergence(res.global_blocks, run_unsharded_oracle(cfg))
+    if div is not None:
+        assert any(
+            rec.round == div and rec.status == "no-committee" for rec in res.records
+        ), f"round {div} diverges with every committee seated"
 
 
 def test_run_is_reproducible():

@@ -2,11 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim.keys import PublicKey
 from shardsim.ledger import Block, Transaction, TxOutput, build_transaction, verify
-from shardsim.partition import PartitionSpec
+from shardsim.partition import PartitionSpec, shard_index
 from shardsim.simulation import RunConfig, Simulation
 from shardsim.sync import eager_collect_support, lazy_collect_support
 
@@ -54,6 +55,34 @@ def test_eager_union_with_own_sub_block_is_global_block():
         rs = eager_collect_support(published, _interval(4, shard))
         assert rs.txs | own == published.txs
         assert not rs.txs & own
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 8])
+def test_eager_support_at_interval_boundaries(m):
+    # Senders at lo, lo+1, hi and hi+1 of every interval (lo itself is outside).
+    intervals = [_interval(m, shard) for shard in range(1, m + 1)]
+    positions = sorted({p for iv in intervals for p in (iv.lo, iv.lo + 1, iv.hi, iv.hi + 1)})
+    published = Block.of(_tx(p, [Q // 2], f"b{k:03d}") for k, p in enumerate(positions))
+    for shard, interval in enumerate(intervals, start=1):
+        support = eager_collect_support(published, interval)
+        assert support.txs == {tx for tx in published if not interval.contains(tx.sender)}
+        # On the key line, a sender stays home exactly when shard_index says so.
+        assert {tx.sender.position for tx in published.txs - support.txs} == {
+            p for p in positions if 1 <= p <= Q and shard_index(p, m) == shard
+        }
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 8])
+def test_eager_support_of_genesis_is_all_or_nothing(m):
+    # Genesis is sent by the mint: the mint's shard keeps all of it as its own
+    # sub-block and every other shard ships all of it.
+    sim = Simulation(RunConfig(n=12, m=m, rounds=0))
+    genesis = sim.global_ctx.entries[0].block
+    for shard, interval in enumerate(sim.intervals, start=1):
+        support = eager_collect_support(genesis, interval)
+        home = interval.contains(sim.mint.pk)
+        assert support.txs == (frozenset() if home else genesis.txs)
+        assert sim.local_ctx[shard - 1].entries[1].block == support
 
 
 def test_lazy_empty_without_cross_shard_payments():
