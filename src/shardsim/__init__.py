@@ -32,7 +32,7 @@ from .membership import (
     NodeRecord,
     evolve_shard_seed,
 )
-from .partition import KeyInterval, PartitionSpec, shard_index
+from .partition import PartitionSpec, shard_index
 from .simulation import (
     ConfigError,
     MonitorBreach,

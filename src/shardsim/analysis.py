@@ -217,7 +217,9 @@ def mc_iterated_lazy(
     throws everyone. Failure is evaluated after each round's re-draw and
     again after any attack completions; a round counts once however many
     bins fail. ``capture_rounds`` snapshots the full assignment at the
-    named rounds for distribution tests.
+    named rounds for distribution tests. ``t_takeover`` and ``attack_size``
+    belong to the adaptive strategies; under ``none`` or ``static`` either one
+    is an error.
 
     Adaptive strategies step round by round on per-bin counts that the
     ``AdversaryState`` keeps. Under ``none`` and ``static`` the colors never
@@ -232,6 +234,8 @@ def mc_iterated_lazy(
             raise ValueError("adaptive strategies need t_takeover")
         if t_lease > t_takeover:
             raise ValueError("adaptive strategies require t_lease <= t_takeover")
+    elif t_takeover is not None or attack_size is not None:
+        raise ValueError("t_takeover and attack_size apply to adaptive strategies only")
     if n < 1 or m < 1 or t_lease < 1 or rounds < 1:
         raise ValueError("n, m, t_lease and rounds must be positive")
     if attack_size is not None and attack_size < 1:

@@ -141,7 +141,6 @@ class Block:
 class ContextEntry:
     round: int
     block: Block
-    remote: bool = False
 
 
 class LedgerContext:
@@ -150,9 +149,8 @@ class LedgerContext:
     Derived balances (keyed by key id) and the seen tx_id set are updated
     incrementally on append and always equal a from-scratch replay of the
     entries. Local shard contexts append two entries per round (own
-    sub-block, then the remote support for that round, tagged
-    ``remote=True``); global contexts append one block per round. A context
-    is single-writer.
+    sub-block, then the remote support for that round); global contexts
+    append one block per round. A context is single-writer.
     """
 
     def __init__(self, scheme: SignatureScheme, mint: PublicKey) -> None:
@@ -162,8 +160,8 @@ class LedgerContext:
         self.balances: dict[str, int] = {}  # per key id; the mint has none
         self.seen_tx_ids: set[str] = set()
 
-    def append(self, block: Block, round: int, remote: bool = False) -> None:
-        self.entries.append(ContextEntry(round, block, remote))
+    def append(self, block: Block, round: int) -> None:
+        self.entries.append(ContextEntry(round, block))
         balances, mint_id, seen = self.balances, self.mint.id, self.seen_tx_ids
         for tx in block:
             seen.add(tx.tx_id)

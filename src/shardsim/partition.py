@@ -1,13 +1,12 @@
-"""Key-interval partitioning of transactions across shards.
+"""Key-line partitioning of transactions across shards.
 
 Routing is by sender position only, so any two transactions that can ever
 compete (they must share a sender) land in the same shard.
 
 Positions and hash points are integers on the key line, standing for
 fractions of 2**64. Shard i of m owns ((i-1)/m, i/m] of the unit interval,
-and ``shard_index`` and ``PartitionSpec.interval`` are both written in the
-same exact integer arithmetic, so a point lies in ``interval(i)`` exactly
-when ``shard_index`` maps it to i.
+and ``shard_index`` is the one map from a point to its shard: routing, the
+driver's residents and lazy support all call it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .crypto import UNIT_BITS
-from .keys import PublicKey
 from .ledger import Transaction
 
 
@@ -35,31 +33,14 @@ def shard_index(x: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class KeyInterval:
-    """Half-open slice (lo, hi] of the key line; bounds are integers."""
-
-    lo: int
-    hi: int
-
-    def contains(self, pk: PublicKey) -> bool:
-        return self.lo < pk.position <= self.hi
-
-
-@dataclass(frozen=True)
 class PartitionSpec:
-    """Uniform split of the key line into m intervals; shard i owns ((i-1)/m, i/m]."""
+    """Uniform split of the key line into m slices; shard i owns ((i-1)/m, i/m]."""
 
     m: int
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("need at least one shard")
-
-    def interval(self, i: int) -> KeyInterval:
-        """Shard i's slice: integer position P is in it iff shard_index(P, m) == i."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"shard index {i} outside 1..{self.m}")
-        return KeyInterval(((i - 1) << UNIT_BITS) // self.m, (i << UNIT_BITS) // self.m)
 
     def which_part(self, tx: Transaction) -> int:
         return shard_index(tx.sender.position, self.m)

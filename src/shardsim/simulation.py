@@ -176,7 +176,6 @@ class Simulation:
         self.clients = [self.scheme.keygen(f"u{i:05d}") for i in range(cfg.n)]
         self.by_id = {kp.pk.id: kp for kp in self.clients}
         self.spec = PartitionSpec(cfg.m)
-        self.intervals = [self.spec.interval(i) for i in range(1, cfg.m + 1)]
         self.route = self._make_router()
 
         adv_rng = np.random.default_rng(
@@ -200,12 +199,11 @@ class Simulation:
         self.local_ctx = [
             LedgerContext(self.scheme, self.mint.pk) for _ in range(cfg.m)
         ]
-        # Transactions of each shard's own (non-remote) entries, in entry order.
+        # Transactions of each shard's own sub-blocks, in entry order.
         self._own_txs: list[list[Transaction]] = [[] for _ in range(cfg.m)]
-        self._clients_by_shard = [
-            [kp for kp in self.clients if interval.contains(kp.pk)]
-            for interval in self.intervals
-        ]
+        self._clients_by_shard: list[list[KeyPair]] = [[] for _ in range(cfg.m)]
+        for kp in self.clients:
+            self._clients_by_shard[shard_index(kp.pk.position, cfg.m) - 1].append(kp)
         self.result = RunResult()
         self._candidate_counter = 0
         self._bootstrap()
@@ -219,12 +217,12 @@ class Simulation:
             return lambda tx: shard_index(tx.outputs[0].to.position, self.cfg.m)
         return self.spec.which_part
 
-    def _collect_support(self, published: Block, shard: int, r: int) -> Block:
+    def _collect_support(self, published: Block, own: Block, shard: int, r: int) -> Block:
         if self.cfg.negative_mode == "broken-sync" and r > 0:
             return Block.empty()
         if self.cfg.sync == "eager":
-            return eager_collect_support(published, self.intervals[shard - 1])
-        return lazy_collect_support(published, self.intervals[shard - 1])
+            return eager_collect_support(published, own)
+        return lazy_collect_support(published, own, shard, self.cfg.m)
 
     def _bootstrap(self) -> None:
         # Bootstrap is always honest, even in negative modes: every shard
@@ -243,9 +241,7 @@ class Simulation:
         """Append the shard's own sub-block, then its remote support."""
         self.local_ctx[shard - 1].append(own, round=r)
         self._own_txs[shard - 1].extend(own)
-        self.local_ctx[shard - 1].append(
-            self._collect_support(published, shard, r), round=r, remote=True
-        )
+        self.local_ctx[shard - 1].append(self._collect_support(published, own, shard, r), round=r)
 
     # -- per-round machinery -------------------------------------------------
 
@@ -396,8 +392,7 @@ class Simulation:
         # The published block keeps one transaction per tx_id; sub-blocks
         # that collide on an id fail the disjointness check below.
         published = Block.of({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values())
-        collided = len(published) < sum(map(len, sub_blocks))
-        if collided or not verify(published, self.global_ctx):
+        if len(published) < sum(map(len, sub_blocks)) or not verify(published, self.global_ctx):
             breaches.append(
                 MonitorBreach(
                     r, 0, "global-admissibility", "global block fails full-ledger verify"
@@ -407,12 +402,7 @@ class Simulation:
         self.result.global_blocks.append(published.sorted_ids())
 
         for shard, own in enumerate(sub_blocks, start=1):
-            source = published
-            if collided:
-                # Keep the shard's own version of every id it minted.
-                ids = {tx.tx_id for tx in own}
-                source = Block.of(tx for tx in published if tx.tx_id not in ids)
-            self._append_local(own, source, shard, r)
+            self._append_local(own, published, shard, r)
 
         if cfg.self_containment_samples > 0:
             breaches.extend(self._self_containment_breaches(r))

@@ -1,34 +1,43 @@
 """Cross-shard state propagation policies.
 
 After every round each shard ingests remote support from the published
-block, the round's sub-blocks combined with one transaction per tx_id. The
-eager policy replicates everything (full copies of the global ledger
-everywhere); the lazy policy ships a remote transaction only to the shards
-where some recipient lives, which is exactly what those shards need to
-keep local admissibility checks equal to global ones.
+block, the round's sub-blocks combined with one transaction per tx_id.
+Remote support is what the shard lacks: the published transactions whose
+ids its own sub-block does not hold. The eager policy ships all of them
+(full copies of the global ledger everywhere); the lazy policy ships only
+those that pay a resident of the shard, which is exactly what the shard
+needs to keep local admissibility checks equal to global ones.
 """
 
 from __future__ import annotations
 
-from .ledger import Block
-from .partition import KeyInterval
+from .ledger import Block, Transaction
+from .partition import shard_index
 
 
-def eager_collect_support(published: Block, interval: KeyInterval) -> Block:
-    """All transactions whose sender lives outside the shard's ``interval``.
+def _lacking(published: Block, own: Block) -> frozenset[Transaction]:
+    """The published transactions whose ids ``own`` does not hold.
 
-    Built as the published set minus the shard's own senders, so the set
-    difference reuses the hashes the published frozenset already holds.
+    When ``own`` is part of ``published``, a set difference on the hashes the
+    frozensets already hold. In a collided round the shard's own version of
+    an id may have lost the published block, so filter by id instead: the
+    shard keeps its own version and does not ingest the winner's too.
     """
-    own = [tx for tx in published if interval.contains(tx.sender)]
-    return Block(published.txs.difference(own))
+    if own.txs <= published.txs:
+        return published.txs.difference(own.txs)
+    ids = {tx.tx_id for tx in own}
+    return frozenset(tx for tx in published if tx.tx_id not in ids)
 
 
-def lazy_collect_support(published: Block, interval: KeyInterval) -> Block:
-    """Remote transactions with at least one output paying into ``interval``."""
+def eager_collect_support(published: Block, own: Block) -> Block:
+    """Every published transaction the shard's ``own`` sub-block lacks."""
+    return Block(_lacking(published, own))
+
+
+def lazy_collect_support(published: Block, own: Block, shard: int, m: int) -> Block:
+    """The lacking transactions with an output paying a resident of ``shard`` of ``m``."""
     return Block.of(
         tx
-        for tx in published
-        if not interval.contains(tx.sender)
-        and any(interval.contains(out.to) for out in tx.outputs)
+        for tx in _lacking(published, own)
+        if any(shard_index(out.to.position, m) == shard for out in tx.outputs)
     )

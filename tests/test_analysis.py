@@ -194,19 +194,30 @@ def test_iterated_rejects_bad_config():
         mc_iterated_lazy(100, 0, 5, 10)
 
 
+_ADAPTIVE = dict(strategy="adaptive-greedy", t_takeover=5)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(attack_size=0),
-        dict(attack_size=-3),
-        dict(red_fraction=-0.1),
-        dict(red_fraction=1.0),
+        dict(_ADAPTIVE, attack_size=0),
+        dict(_ADAPTIVE, attack_size=-3),
+        dict(_ADAPTIVE, red_fraction=-0.1),
+        dict(_ADAPTIVE, red_fraction=1.0),
+        # Keys only the adaptive strategies read.
+        dict(strategy="static", t_takeover=5),
+        dict(strategy="static", attack_size=3),
+        dict(strategy="none", t_takeover=5),
+        dict(strategy="none", attack_size=3),
     ],
-    ids=["attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1"],
+    ids=[
+        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1",
+        "static-t_takeover", "static-attack_size", "none-t_takeover", "none-attack_size",
+    ],
 )
 def test_iterated_rejects_bad_attack_size_and_fraction(bad):
     with pytest.raises(ValueError):
-        mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy", t_takeover=5, **bad)
+        mc_iterated_lazy(100, 2, 5, 10, **bad)
 
 
 def test_iterated_none_strategy_has_no_reds():

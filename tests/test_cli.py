@@ -420,9 +420,12 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
         "red_fraction = 1.0\n",
         "n = 0\n",
         "m = 0\n",
+        "strategy = static\nt_takeover = 5\nattack_size = 3\n",
+        "strategy = none\nattack_size = 3\n",
     ],
     ids=[
-        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0"
+        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0",
+        "static-takeover-keys", "none-attack_size",
     ],
 )
 def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, capsys):
@@ -610,18 +613,30 @@ def test_module_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, code",
     [
-        TIGHT_INI.replace("[run]\n", "[run]\nm = 4\n").replace("rounds = 120", "rounds = 15"),
-        TIGHT_INI.replace("[run]\n", "[run]\nm = 3\nsync = lazy\nt_lease = 3\n").replace(
-            "rounds = 120", "rounds = 15"
+        (
+            TIGHT_INI.replace("[run]\n", "[run]\nm = 4\n").replace("rounds = 120", "rounds = 15"),
+            EXIT_OK,
+        ),
+        (
+            TIGHT_INI.replace("[run]\n", "[run]\nm = 3\nsync = lazy\nt_lease = 3\n").replace(
+                "rounds = 120", "rounds = 15"
+            ),
+            EXIT_OK,
+        ),
+        (
+            "[run]\nn = 40\nm = 4\nrounds = 20\nseed = 0\n"
+            "byzantine_fraction = 0.5\nadversary = double-spend\n",
+            EXIT_BREACH,
         ),
     ],
-    ids=["eager", "lazy"],
+    ids=["eager", "lazy", "colliding-double-spend"],
 )
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, text):
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, text, code):
     # Sets of transactions iterate in hash order, and str hashes follow
-    # PYTHONHASHSEED; no output may depend on that order.
+    # PYTHONHASHSEED; no output may depend on that order. The colliding
+    # double-spend run takes remote support's id-filter path.
     cfg = _write(tmp_path, text)
     outs = []
     for hash_seed in ("0", "1"):
@@ -632,7 +647,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, text):
             text=True,
             env=dict(os.environ, PYTHONHASHSEED=hash_seed),
         )
-        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.returncode == code, proc.stderr
         outs.append(out)
     names = sorted(path.name for path in outs[0].iterdir())
     assert "rounds.csv" in names

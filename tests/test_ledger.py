@@ -24,24 +24,11 @@ from shardsim.ledger import (
     is_competing,
     verify,
 )
-from shardsim.partition import PartitionSpec
+from shardsim.partition import shard_index
 
 from ledgerlib import iter_txs, replay, restricted, support
 
 from conftest import funded_context, make_clients, competing_pairs
-
-
-class WholeInterval:
-    def contains(self, pk):
-        return True
-
-
-class OnlyKey:
-    def __init__(self, pk):
-        self.pk = pk
-
-    def contains(self, pk):
-        return pk == self.pk
 
 
 # -- structural validation ----------------------------------------------------
@@ -312,8 +299,8 @@ def test_balance_equals_filtered_history_replay(scheme, mint):
                 if out.to == kp.pk:
                     replayed += out.amount
         assert ctx.balance(kp.pk) == replayed
-        # Same thing through the restricted-context API.
-        assert restricted(ctx, OnlyKey(kp.pk)).balance(kp.pk) == replayed
+        # Same thing through a context replayed from those transactions only.
+        assert replay(ctx, set(touching).__contains__).balance(kp.pk) == replayed
 
 
 def test_replay_consistency(scheme, mint):
@@ -378,26 +365,24 @@ def test_prefix_residue(scheme, mint):
 
 def test_support_whole_interval_is_everything(scheme, mint):
     ctx, _ = _random_history(scheme, mint, seed=19)
-    assert support(WholeInterval(), ctx) == set(iter_txs(ctx))
+    assert support(ctx, 1, 1) == set(iter_txs(ctx))
 
 
 def test_support_empty_context(scheme, mint):
     ctx = LedgerContext(scheme, mint.pk)
-    assert support(WholeInterval(), ctx) == set()
+    assert support(ctx, 1, 1) == set()
 
 
 def test_restricted_context_preserves_verify(scheme, mint):
-    # For blocks drawn from an interval's senders, the support-restricted
+    # For blocks drawn from a shard's senders, the support-restricted
     # context decides admissibility identically to the full context.
-    spec = PartitionSpec(4)
     ctx, clients = _random_history(scheme, mint, seed=23)
     rng = random.Random(23)
     for shard in range(1, 5):
-        interval = spec.interval(shard)
-        local = [kp for kp in clients if interval.contains(kp.pk)]
+        local = [kp for kp in clients if shard_index(kp.pk.position, 4) == shard]
         if not local:
             continue
-        local_ctx = restricted(ctx, interval)
+        local_ctx = restricted(ctx, shard, 4)
         for k in range(40):
             sender = local[rng.randrange(len(local))]
             to = clients[rng.randrange(len(clients))].pk
@@ -410,11 +395,9 @@ def test_restricted_context_preserves_verify(scheme, mint):
 
 
 def test_support_matches_restricted_context(scheme, mint):
-    spec = PartitionSpec(4)
     ctx, _ = _random_history(scheme, mint, seed=29)
     for shard in range(1, 5):
-        interval = spec.interval(shard)
-        assert support(interval, ctx) == set(iter_txs(restricted(ctx, interval)))
+        assert support(ctx, shard, 4) == set(iter_txs(restricted(ctx, shard, 4)))
 
 
 # -- competing transactions ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Interval partitioning: boundaries, uniformity, conflict preservation."""
+"""Key-line partitioning: boundaries, uniformity, conflict preservation."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shardsim.keys import PublicKey, position_of
 from shardsim.ledger import Block, TxOutput, Transaction, is_competing
-from shardsim.partition import KeyInterval, PartitionSpec, shard_index
+from shardsim.partition import PartitionSpec, shard_index
 
 from conftest import competing_pairs
 
@@ -27,38 +27,24 @@ def test_invalid_shard_count():
         PartitionSpec(0)
 
 
-def test_intervals_tile_the_unit_interval():
-    spec = PartitionSpec(5)
-    assert spec.interval(1).lo == 0
-    assert spec.interval(5).hi == Q
-    for i in range(1, 5):
-        assert spec.interval(i).hi == spec.interval(i + 1).lo
-    with pytest.raises(ValueError):
-        spec.interval(0)
-    with pytest.raises(ValueError):
-        spec.interval(6)
-
-
-def test_interval_is_half_open():
-    iv = KeyInterval(Q // 4, Q // 2)
-    assert not iv.contains(PublicKey("x", Q // 4))
-    assert iv.contains(PublicKey("x", Q // 4 + 1))
-    assert iv.contains(PublicKey("x", 3 * Q // 10))
-    assert iv.contains(PublicKey("x", Q // 2))
-    assert not iv.contains(PublicKey("x", Q // 2 + 1))
-    assert not iv.contains(PublicKey("x", 3 * Q // 4))
-
-
 def test_shard_index_boundaries():
+    # Slices are half-open, (lo, hi]: a boundary point belongs to the slice below.
     assert shard_index(0, 4) == 1
     assert shard_index(1, 4) == 1
     assert shard_index(Q // 4, 4) == 1
     assert shard_index(Q // 4 + 1, 4) == 2
+    assert shard_index(3 * Q // 10, 4) == 2
     assert shard_index(Q // 2, 4) == 2
     assert shard_index(Q // 2 + 1, 4) == 3
+    assert shard_index(3 * Q // 4, 4) == 3
     assert shard_index(Q, 4) == 4
     assert shard_index(0, 1) == 1
     assert shard_index(Q, 1) == 1
+    # The integer boundaries (i * 2**64) // m of a non-power-of-two m.
+    for m in (3, 5, 7):
+        for i in range(1, m):
+            hi = (i << 64) // m
+            assert [shard_index(p, m) for p in (hi - 1, hi, hi + 1)] == [i, i, i + 1]
 
 
 def test_which_part_boundaries():
@@ -76,14 +62,6 @@ def test_which_part_is_ceiling_of_scaled_position():
         pos = i * Q // 200
         tx = _tx_at(pos)
         assert spec.which_part(tx) == math.ceil(Fraction(pos * 7, Q))
-
-
-def test_which_part_agrees_with_interval_membership():
-    spec = PartitionSpec(8)
-    for i in range(500):
-        pk = PublicKey.from_id(f"m{i}")
-        shard = shard_index(pk.position, spec.m)
-        assert spec.interval(shard).contains(pk)
 
 
 # -- one partition rule (property) --------------------------------------------
@@ -122,32 +100,21 @@ def _shard_count_and_position(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_shard_count_and_position())
 # The integer image of the float 0x1.5555555555556p-2, just above 1/3: the
-# float ceil put it in shard 1 and the float interval 2 contained it.
+# float ceil put it in shard 1.
 @example(case=(3, int(float.fromhex("0x1.5555555555556p-2") * Q)))
-def test_shard_index_agrees_with_contains(case):
+def test_shard_index_is_exact_ceiling(case):
     m, position = case
-    spec = PartitionSpec(m)
-    pk = PublicKey("p", position)
-    owners = [i for i in range(1, m + 1) if spec.interval(i).contains(pk)]
-    assert owners == [shard_index(position, m)]
+    assert shard_index(position, m) == math.ceil(Fraction(position * m, Q))
 
 
 @pytest.mark.parametrize("m", _TABLE_M)
 def test_boundary_table_has_one_owner(m):
-    spec = PartitionSpec(m)
-    intervals = [spec.interval(i) for i in range(1, m + 1)]
-    # The intervals tile (0, 2**64], so the owner's neighbours are the only
-    # other candidates for a point next to a boundary.
-    assert intervals[0].lo == 0 and intervals[-1].hi == Q
-    for left, right in zip(intervals, intervals[1:]):
-        assert left.lo < left.hi == right.lo
+    # Shard i owns the integers in (((i-1) * 2**64) // m, (i * 2**64) // m]. These
+    # slices tile [1, 2**64], so a point next to a boundary has exactly one owner.
     for position in _boundary_positions(m):
-        pk = PublicKey("p", position)
         i = shard_index(position, m)
-        assert intervals[i - 1].contains(pk)
-        for j in (i - 1, i + 1):
-            if 1 <= j <= m:
-                assert not intervals[j - 1].contains(pk)
+        assert i == math.ceil(Fraction(position * m, Q))
+        assert ((i - 1) * Q) // m < position <= (i * Q) // m
 
 
 def test_part_empty_input():

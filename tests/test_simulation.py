@@ -115,11 +115,8 @@ def test_bootstrap_single_shard_holds_everything():
 
 def test_bootstrap_partitions_genesis_disjointly():
     sim = Simulation(_cfg(n=24, m=4, rounds=0))
-    own = []
-    for ctx in sim.local_ctx:
-        own.append(
-            {tx.tx_id for e in ctx.entries if not e.remote for tx in e.block}
-        )
+    # Each round appends the shard's own sub-block, then its remote support.
+    own = [{tx.tx_id for e in ctx.entries[::2] for tx in e.block} for ctx in sim.local_ctx]
     union = set().union(*own)
     assert union == set(sim.result.global_blocks[0])
     assert sum(len(s) for s in own) == len(union)  # pairwise disjoint
@@ -139,9 +136,9 @@ def test_bootstrap_lazy_sees_only_local_grants():
     sim = Simulation(_cfg(n=24, m=4, rounds=0, sync="lazy", t_lease=3))
     mint_shard = shard_index(sim.mint.pk.position, sim.cfg.m)
     for i, ctx in enumerate(sim.local_ctx, start=1):
-        interval = sim.spec.interval(i)
         for kp in sim.clients:
-            expect = 1000 if (i == mint_shard or interval.contains(kp.pk)) else 0
+            resident = shard_index(kp.pk.position, sim.cfg.m) == i
+            expect = 1000 if (i == mint_shard or resident) else 0
             assert ctx.balance(kp.pk) == expect
 
 
@@ -342,7 +339,8 @@ def test_competing_pool_resolves_to_lexicographic_winner():
 
 
 def _own_rescan(ctx):
-    return [tx for e in ctx.entries if not e.remote for tx in e.block]
+    # Own sub-blocks are the even entries: each round appends one, then the support.
+    return [tx for e in ctx.entries[::2] for tx in e.block]
 
 
 def test_own_tx_index_matches_rescan():
@@ -448,10 +446,15 @@ def test_colliding_adversary_blocks_halt_with_breaches():
     kinds = [b.kind for b in res.breaches]
     assert kinds.count("honest-majority") >= 2
     assert "global-admissibility" in kinds
-    # Every shard ships from the one published block.
+    # Every shard ships from the one published block what its own sub-block
+    # lacks, by id: the two split the published ids between them.
     published = sim.global_ctx.entries[-1].block
     for ctx in sim.local_ctx:
-        assert ctx.entries[-1].remote and ctx.entries[-1].block.txs <= published.txs
+        own, support = (e.block for e in ctx.entries[-2:])
+        assert support.txs <= published.txs
+        own_ids, support_ids = ({tx.tx_id for tx in b} for b in (own, support))
+        assert own_ids | support_ids == {tx.tx_id for tx in published}
+        assert not own_ids & support_ids
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -466,6 +469,35 @@ def test_colliding_ids_enter_each_local_context_once(seed):
         ids = [tx.tx_id for tx in iter_txs(ctx)]
         assert len(ids) == len(set(ids))
     assert all(frac <= 1.0 for frac in res.local_fractions), res.local_fractions
+
+
+_SYNCS = {"eager": dict(sync="eager"), "lazy": dict(sync="lazy", t_lease=3)}
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        *(
+            pytest.param(dict(TIGHT, m=2, seed=seed, negative_mode=mode, **_SYNCS[sync]),
+                         id=f"{mode}-{sync}-{seed}")
+            for mode in ("none", "conflict-partition")
+            for sync in _SYNCS
+            for seed in (1, 2, 3)
+        ),
+        pytest.param(
+            dict(n=40, m=4, rounds=20, seed=0, byzantine_fraction=0.5, adversary="double-spend"),
+            id="colliding-double-spend",
+        ),
+    ],
+)
+def test_no_local_context_holds_an_id_twice(kw):
+    sim = Simulation(_cfg(**kw))
+    res = sim.run()
+    for ctx in sim.local_ctx:
+        assert sum(len(e.block) for e in ctx.entries) == len({tx.tx_id for tx in iter_txs(ctx)})
+    if kw.get("negative_mode") == "conflict-partition" and kw["sync"] == "eager":
+        # Eager support is every published id the own sub-block lacks.
+        assert res.local_fractions == [1.0, 1.0]
 
 
 def _float_breach(byz, certified, h_p=2 / 3):
