@@ -12,7 +12,8 @@ which keeps the genesis block admissible against the empty context.
 
 Balances and per-block spends are keyed by key id, and keys are compared by
 id, so no per-transaction step hashes or compares a ``PublicKey`` object. A
-transaction's total is fixed at construction and it hashes by ``tx_id``.
+transaction is its id: it is equal and hashed by ``tx_id``, so a set or a
+block holds one version per id. Its total is fixed at construction.
 
 Admission checks the unseen id, then the budget, then the signature, and a
 transaction keeps the scheme that accepted it: later passes (legality, global
@@ -51,16 +52,15 @@ class Transaction:
     unsigned integers.
 
     ``total_amount`` is computed once, at construction, and ``signed_for``
-    (the scheme that accepted ``sig``) by admission. Equality compares
-    every field but the hash covers ``tx_id`` alone, which equal
-    transactions share; two transactions with one id and different fields
-    collide in a set and stay apart.
+    (the scheme that accepted ``sig``) by admission. Equality and the hash
+    cover ``tx_id`` alone: two versions of one id are equal, and a set keeps
+    the first it is given.
     """
 
     tx_id: str
-    sender: PublicKey
-    outputs: tuple[TxOutput, ...]
-    sig: bytes
+    sender: PublicKey = field(compare=False)
+    outputs: tuple[TxOutput, ...] = field(compare=False)
+    sig: bytes = field(compare=False)
     total_amount: int = field(init=False, compare=False, repr=False)
     signed_for: Optional[SignatureScheme] = field(
         default=None, init=False, compare=False, repr=False
@@ -77,6 +77,7 @@ class Transaction:
         object.__setattr__(self, "total_amount", total)
 
     def __hash__(self) -> int:
+        # Not the generated hash, which would build a 1-tuple on every call.
         return hash(self.tx_id)
 
     def signing_bytes(self) -> bytes:
@@ -109,13 +110,9 @@ def build_transaction(
 
 @dataclass(frozen=True)
 class Block:
-    """Unordered transaction set; duplicate tx_ids are rejected at construction."""
+    """Unordered transaction set: one transaction per tx_id."""
 
     txs: frozenset[Transaction]
-
-    def __post_init__(self) -> None:
-        if len({tx.tx_id for tx in self.txs}) != len(self.txs):
-            raise LedgerError("duplicate tx_id inside a block")
 
     @classmethod
     def of(cls, txs: Iterable[Transaction]) -> "Block":
@@ -249,11 +246,7 @@ def is_competing(
 def _admissible_with(
     base: set[Transaction], extras: Iterable[Transaction], ctx: LedgerContext
 ) -> bool:
-    try:
-        block = Block.of(base.union(extras))
-    except LedgerError:
-        return False
-    return verify(block, ctx)
+    return verify(Block.of(base.union(extras)), ctx)
 
 
 def greedy_admissible_block(pool: Iterable[Transaction], ctx: LedgerContext) -> Block:

@@ -389,9 +389,9 @@ class Simulation:
                 )
             )
 
-        # The published block keeps one transaction per tx_id; sub-blocks
-        # that collide on an id fail the disjointness check below.
-        published = Block.of({tx.tx_id: tx for sub in sub_blocks for tx in sub}.values())
+        # The published block keeps one version per tx_id, the highest shard's;
+        # sub-blocks that collide on an id fail the disjointness check below.
+        published = Block.of(tx for sub in reversed(sub_blocks) for tx in sub)
         if len(published) < sum(map(len, sub_blocks)) or not verify(published, self.global_ctx):
             breaches.append(
                 MonitorBreach(

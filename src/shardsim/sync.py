@@ -18,15 +18,11 @@ from .partition import shard_index
 def _lacking(published: Block, own: Block) -> frozenset[Transaction]:
     """The published transactions whose ids ``own`` does not hold.
 
-    When ``own`` is part of ``published``, a set difference on the hashes the
-    frozensets already hold. In a collided round the shard's own version of
-    an id may have lost the published block, so filter by id instead: the
-    shard keeps its own version and does not ingest the winner's too.
+    Transactions are equal by id, so in a collided round, where the shard's
+    own version of an id lost the published block, the shard keeps its own
+    version and does not ingest the winner's.
     """
-    if own.txs <= published.txs:
-        return published.txs.difference(own.txs)
-    ids = {tx.tx_id for tx in own}
-    return frozenset(tx for tx in published if tx.tx_id not in ids)
+    return published.txs.difference(own.txs)
 
 
 def eager_collect_support(published: Block, own: Block) -> Block:

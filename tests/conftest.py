@@ -47,6 +47,11 @@ def verify_checks(monkeypatch):
     return checks
 
 
+def tx_content(tx):
+    """Every field a transaction carries; equality looks at ``tx_id`` alone."""
+    return (tx.tx_id, tx.sender.id, tx.outputs, tx.sig)
+
+
 def make_clients(scheme, count, prefix="c"):
     return [scheme.keygen(f"{prefix}{i:03d}") for i in range(count)]
 

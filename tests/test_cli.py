@@ -635,8 +635,9 @@ def test_module_entry_point(tmp_path):
 )
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, text, code):
     # Sets of transactions iterate in hash order, and str hashes follow
-    # PYTHONHASHSEED; no output may depend on that order. The colliding
-    # double-spend run takes remote support's id-filter path.
+    # PYTHONHASHSEED; no output may depend on that order. In the colliding
+    # double-spend run, two shards mint versions of one id, and the
+    # published block and each shard's support keep one version per id.
     cfg = _write(tmp_path, text)
     outs = []
     for hash_seed in ("0", "1"):

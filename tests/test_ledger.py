@@ -28,7 +28,7 @@ from shardsim.partition import shard_index
 
 from ledgerlib import iter_txs, replay, restricted, support
 
-from conftest import funded_context, make_clients, competing_pairs
+from conftest import funded_context, make_clients, competing_pairs, tx_content
 
 
 # -- structural validation ----------------------------------------------------
@@ -55,13 +55,14 @@ def test_zero_amount_output_is_legal(scheme, mint):
     assert verify(Block.of([tx]), ctx)
 
 
-def test_block_rejects_duplicate_tx_id(scheme):
+def test_block_keeps_one_version_per_tx_id(scheme):
     kp = scheme.keygen("s")
     to = scheme.keygen("r").pk
     tx1 = build_transaction(scheme, kp, [(to, 1)], "dup")
     tx2 = build_transaction(scheme, kp, [(to, 2)], "dup")
-    with pytest.raises(LedgerError):
-        Block.of([tx1, tx2])
+    assert tx1 == tx2 and tx_content(tx1) != tx_content(tx2)
+    for first, second in ((tx1, tx2), (tx2, tx1)):
+        assert [tx_content(tx) for tx in Block.of([first, second])] == [tx_content(first)]
 
 
 def test_block_set_semantics(scheme):
@@ -216,14 +217,12 @@ def test_bad_signature_rejected(scheme, mint):
     forged = Transaction("t1", kp.pk, good.outputs, b"\x00" * 32)
     assert not verify(Block.of([forged]), ctx)
     # Signature over different outputs does not transfer. The moved copy
-    # shares the good one's tx_id and so its hash; equality still tells them
-    # apart, and one block cannot hold both.
+    # shares the good one's tx_id, so it is equal to it; its content differs
+    # and verify checks the content.
     moved = Transaction("t1", kp.pk, (TxOutput(to, 99),), good.sig)
-    assert hash(moved) == hash(good) and moved != good
+    assert moved == good and tx_content(moved) != tx_content(good)
     assert verify(Block.of([good]), ctx)
     assert not verify(Block.of([moved]), ctx)
-    with pytest.raises(LedgerError):
-        Block.of([good, moved])
 
 
 def test_verify_order_independent(scheme, mint):
@@ -445,6 +444,12 @@ def test_same_tx_id_is_replay_not_competition(scheme, mint):
     tx1 = build_transaction(scheme, kp, [(a, 6)], "same")
     tx2 = build_transaction(scheme, kp, [(b, 6)], "same")
     assert not is_competing(tx1, tx2, ctx, Block.empty())
+    # A pair member that shares its id with a different background
+    # transaction is that transaction's replay: the pair does not compete.
+    other = build_transaction(scheme, kp, [(b, 6)], "other")
+    background = Block.of([build_transaction(scheme, kp, [(a, 1)], "same")])
+    assert not is_competing(tx1, other, ctx, background)
+    assert is_competing(tx1, other, ctx, Block.empty())
 
 
 def test_constructed_pairs_compete_and_share_sender(scheme, mint):
@@ -651,6 +656,23 @@ def test_greedy_skips_replays_and_bad_signatures(scheme, mint):
     fine = build_transaction(scheme, kp, [(to, 3)], "ok")
     block = greedy_admissible_block([replay, forged, fine], ctx)
     assert {tx.tx_id for tx in block} == {"ok"}
+
+
+def test_greedy_keeps_the_first_admissible_version_of_a_tx_id(scheme, mint):
+    # A list pool can hold two versions of one id. The first version in scan
+    # order that passes admission is kept, and later versions are skipped
+    # without adding to their sender's spend.
+    kp = scheme.keygen("s")
+    to = scheme.keygen("r").pk
+    ctx = funded_context(scheme, mint, [kp], 10)
+    valid = build_transaction(scheme, kp, [(to, 4)], "x")
+    tampered = Transaction("x", kp.pk, (TxOutput(to, 9),), valid.sig)
+    block = greedy_admissible_block([tampered, valid], ctx)
+    assert [tx_content(tx) for tx in block] == [tx_content(valid)]
+    again = build_transaction(scheme, kp, [(to, 5)], "x")
+    later = build_transaction(scheme, kp, [(to, 4)], "y")
+    block = greedy_admissible_block([valid, again, later], ctx)
+    assert sorted(map(tx_content, block)) == [tx_content(valid), tx_content(later)]
 
 
 # -- one signature check per scheme -------------------------------------------

@@ -61,7 +61,9 @@ initial_balance = 23
 # name -> (subcommand, config text or None for the defaults, extra flags)
 CLI_RUNS = {
     "simulate-default": ("simulate", None, []),
-    "simulate-lazy": ("simulate", "[run]\nn = 60\nm = 4\nsync = lazy\nt_lease = 3\nrounds = 30\n", []),
+    "simulate-lazy": (
+        "simulate", "[run]\nn = 60\nm = 4\nsync = lazy\nt_lease = 3\nrounds = 30\n", []
+    ),
     "simulate-broken-sync": (
         "simulate",
         TIGHT_INI.replace("[run]\n", "[run]\nsync = lazy\nt_lease = 3\n"),
@@ -117,7 +119,8 @@ def record_cli(name: str) -> dict:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())
         }
-        return {"exit": code, "stdout": stdout.getvalue().replace(str(out), "<out>"), "files": files}
+        printed = stdout.getvalue().replace(str(out), "<out>")
+        return {"exit": code, "stdout": printed, "files": files}
 
 
 def record_bench(name: str, seed: int) -> str:

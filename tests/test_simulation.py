@@ -457,6 +457,24 @@ def test_colliding_adversary_blocks_halt_with_breaches():
         assert not own_ids & support_ids
 
 
+def test_colliding_ids_publish_the_highest_shards_version():
+    # Shards 1, 3 and 4 are compromised in round 1, and each mints its own
+    # ds-r000001a and -b. The published block holds shard 4's versions.
+    # Shards 1 and 3 keep their own, and shard 2 ingests the published ones.
+    sim = Simulation(
+        _cfg(n=40, m=4, rounds=20, seed=0, byzantine_fraction=0.5, adversary="double-spend")
+    )
+    sim.run()
+
+    def ds_senders(txs):
+        return {tx.tx_id: tx.sender.id for tx in txs if tx.tx_id.startswith("ds-")}
+
+    ids = ("ds-r000001a", "ds-r000001b")
+    assert ds_senders(sim.global_ctx.entries[-1].block) == dict.fromkeys(ids, "u00001")
+    for ctx, sender in zip(sim.local_ctx, ("u00009", "u00001", "u00004", "u00001")):
+        assert ds_senders(iter_txs(ctx)) == dict.fromkeys(ids, sender)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_colliding_ids_enter_each_local_context_once(seed):
     # Both shards mint the ds- ids; the one whose version lost the published

@@ -13,6 +13,8 @@ from shardsim.sync import eager_collect_support, lazy_collect_support
 
 from ledgerlib import iter_txs, restricted
 
+from conftest import tx_content
+
 # Position Q stands for the point 1 of the unit interval.
 Q = 1 << 64
 
@@ -147,7 +149,7 @@ def test_collided_round_support_and_own_split_the_published_ids():
     # shard's: support and own then cover the published ids, disjoint by id.
     published = _random_block(40, seed=5)
     mine = _tx(Q // 10, [Q // 2], "x0003")
-    assert mine not in published.txs
+    assert tx_content(mine) not in map(tx_content, published)
     own = Block.of([tx for tx in _own(published, 4, 1) if tx.tx_id != "x0003"] + [mine])
     ids = {tx.tx_id for tx in own}
     eager = eager_collect_support(published, own)
