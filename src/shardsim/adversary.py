@@ -1,14 +1,12 @@
 """Adaptive-corruption bookkeeping for the balls-into-bins analyses.
 
 Balls are nodes: blue is honest, red is adversary-controlled. The
-adversary may hold at most ``capacity`` balls, counting both what it
-controls and what it is currently attacking. To start an attack it must
-therefore retire control of as many balls as it targets; the retired
-balls stop counting against capacity immediately but keep their color
-until the attack lands. An attack takes exactly ``t_takeover`` rounds,
-cannot be aborted, and on completion the targets turn red while the
-retired balls turn blue. Trades are one-for-one, so usage is the red
-count, and capacity is checked when the reds are seeded.
+adversary's budget is the number of reds it is seeded with. To start an
+attack it must retire control of as many balls as it targets; the
+retired balls keep their color until the attack lands. An attack takes
+exactly ``t_takeover`` rounds, cannot be aborted, and on completion the
+targets turn red while the retired balls turn blue. ``launch`` trades
+one-for-one, so the red count never leaves the budget.
 """
 
 from __future__ import annotations
@@ -34,67 +32,40 @@ class Attack:
 class AdversaryState:
     """Ball colors and attacks, with the free masks and their sizes kept current.
 
-    ``free_blue`` (blue, not under attack) and ``free_red`` (red, not
-    released) change only on ``seed_red``, ``launch`` and ``complete_due``:
-    a blue ball that is not free is under attack, and a red ball that is
-    not free is released. Usage, ``capacity_used()``, is the red count.
-    Once ``track`` attaches an assignment of balls to bins, ``red_counts``
-    and ``totals`` hold its per-bin counts as ints; the caller calls
+    ``red`` is the seeded red mask and ``bins`` an assignment of balls to
+    [0, m); the state updates ``red`` in place. ``free_blue`` (blue, not
+    under attack) and ``free_red`` (red, not released) change only on
+    ``launch`` and ``complete_due``: a blue ball that is not free is under
+    attack, and a red ball that is not free is released. ``red_counts``
+    and ``totals`` hold the per-bin counts as ints; the caller calls
     ``recount`` after re-drawing bins in place.
     """
 
-    n: int
-    capacity: int
+    red: np.ndarray
+    bins: np.ndarray
+    m: int
     t_takeover: int
-    red: np.ndarray = field(init=False)
     free_blue: np.ndarray = field(init=False)
     free_red: np.ndarray = field(init=False)
     n_free_blue: int = field(init=False)
-    n_free_red: int = field(init=False, default=0)
-    bins: np.ndarray | None = field(init=False, default=None)
-    m: int = field(init=False, default=0)
-    red_counts: list[int] = field(init=False, default_factory=list)
-    totals: list[int] = field(init=False, default_factory=list)
-    _shift: np.ndarray | None = field(init=False, default=None, repr=False)
+    n_free_red: int = field(init=False)
+    red_counts: list[int] = field(init=False)
+    totals: list[int] = field(init=False)
+    _shift: np.ndarray = field(init=False, repr=False)
     launched: int = field(init=False, default=0)
     completed: int = field(init=False, default=0)
     _due: dict[int, list[Attack]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self.red = np.zeros(self.n, dtype=bool)
-        self.free_blue = np.ones(self.n, dtype=bool)
-        self.free_red = np.zeros(self.n, dtype=bool)
-        self.n_free_blue = self.n
-
-    def seed_red(self, indices: np.ndarray) -> None:
-        """Turn ``indices`` red before any attack; the red count must fit ``capacity``."""
-        if self._due:
-            raise AttackError("reds may only be seeded while no attack is in flight")
-        red = self.red.copy()
-        red[indices] = True
-        used = int(np.count_nonzero(red))
-        if used > self.capacity:
-            raise AttackError(f"capacity exceeded: {used} > {self.capacity}")
-        self.red = red
-        self.free_blue = ~red
-        self.free_red = red.copy()
-        self.n_free_blue = self.n - used
-        self.n_free_red = used
-        if self.bins is not None:
-            self.track(self.bins, self.m)
-
-    def capacity_used(self) -> int:
-        return int(np.count_nonzero(self.red))
-
-    def track(self, bins: np.ndarray, m: int) -> None:
-        """Keep per-bin counts of ``bins``, an assignment of balls to [0, m)."""
-        self.bins = bins
-        self.m = m
-        self._shift = self.red * m  # red balls count in cells m..2m-1
+        self.free_blue = ~self.red
+        self.free_red = self.red.copy()
+        self.n_free_red = int(np.count_nonzero(self.red))
+        self.n_free_blue = self.red.size - self.n_free_red
+        self._shift = self.red * self.m  # red balls count in cells m..2m-1
         self.recount()
 
     def recount(self) -> None:
-        """Re-count every bin after the tracked assignment moved."""
+        """Re-count every bin after ``bins`` moved."""
         m = self.m
         cells = np.bincount(self.bins + self._shift, minlength=2 * m).tolist()
         self.red_counts = cells[m:]
@@ -137,14 +108,13 @@ class AdversaryState:
             self.n_free_blue += k
             self.n_free_red += k
             self.completed += 1
-            if self.bins is not None:
-                # The bins did not move: only the swapped balls' bins change color.
-                self._shift[targets] = self.m
-                self._shift[releases] = 0
-                for b in self.bins[targets].tolist():
-                    self.red_counts[b] += 1
-                for b in self.bins[releases].tolist():
-                    self.red_counts[b] -= 1
+            # The bins did not move: only the swapped balls' bins change color.
+            self._shift[targets] = self.m
+            self._shift[releases] = 0
+            for b in self.bins[targets].tolist():
+                self.red_counts[b] += 1
+            for b in self.bins[releases].tolist():
+                self.red_counts[b] -= 1
         return done
 
 
@@ -168,7 +138,7 @@ def plan_attack(
     ``adaptive-greedy`` concentrates: it attacks blue balls in the bin that
     is already closest to failing and retires reds from the bin furthest
     from it. ``adaptive-random`` picks both sides uniformly. Both observe
-    the full public state; greedy reads the bins ``state`` tracks.
+    the full public state; greedy reads the per-bin counts ``state`` keeps.
     """
     k = min(attack_size, state.n_free_blue, state.n_free_red)
     if k == 0:
@@ -179,8 +149,6 @@ def plan_attack(
         return targets, releases
     if strategy != "adaptive-greedy":
         raise AttackError(f"no attack planner for strategy {strategy!r}")
-    if state.bins is None:
-        raise AttackError("greedy planning reads the bins the state tracks")
 
     ratio = [r / t if t else 0.0 for r, t in zip(state.red_counts, state.totals)]
     hot = ratio.index(max(ratio))

@@ -144,6 +144,8 @@ def mc_static_failure_rate(
         raise ValueError("n, m and trials must be positive")
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STATIC_STREAM]))
     n_red = int(red_fraction * n)
     n_blue = n - n_red
@@ -242,17 +244,17 @@ def mc_iterated_lazy(
         raise ValueError("attack_size must be at least 1")
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, _ITERATED_STREAM]))
     n_red = 0 if strategy == "none" else int(red_fraction * n)
-    state = AdversaryState(n, n_red, t_takeover or 0)
+    red = np.zeros(n, dtype=bool)
     if n_red:
-        state.seed_red(rng.choice(n, size=n_red, replace=False))
+        red[rng.choice(n, size=n_red, replace=False)] = True
     slots = rng.integers(0, t_lease, n)
     groups = [np.flatnonzero(slots == s) for s in range(t_lease)]
     bins = rng.integers(0, m, n)
-    if attack_size is None:
-        attack_size = max(1, n_red // (2 * max(1, t_takeover or 1)))
 
     result = IteratedBinsResult(n, m, t_lease, rounds, strategy, capacity=n_red)
     wanted = set(capture_rounds)
@@ -260,7 +262,9 @@ def mc_iterated_lazy(
     ratio_count = 0
 
     if adaptive:
-        state.track(bins, m)
+        if attack_size is None:
+            attack_size = max(1, n_red // (2 * t_takeover))
+        state = AdversaryState(red, bins, m, t_takeover)
         for r in range(1, rounds + 1):
             if r > 1:
                 movers = groups[r % t_lease]
@@ -281,8 +285,10 @@ def mc_iterated_lazy(
                 terms = _ratio_terms(np.array(state.red_counts), np.array(state.totals))
                 ratio_sum += terms[0]
                 ratio_count += terms[1]
+        result.attacks_launched = state.launched
+        result.attacks_completed = state.completed
     else:
-        blocks = _static_blocks(bins, state.red, groups, rng, m, rounds, wanted)
+        blocks = _static_blocks(bins, red, groups, rng, m, rounds, wanted)
         for r0, red_counts, totals in blocks:
             failing = committee_fails(red_counts, totals).any(axis=1)
             result.failure_rounds.extend((r0 + np.flatnonzero(failing)).tolist())
@@ -296,9 +302,7 @@ def mc_iterated_lazy(
                     ratio_count += terms[1]
 
     result.mean_red_ratio = ratio_sum / ratio_count if ratio_count else 0.0
-    result.attacks_launched = state.launched
-    result.attacks_completed = state.completed
-    result.peak_capacity_used = state.capacity_used()
+    result.peak_capacity_used = int(np.count_nonzero(red))
     return result
 
 

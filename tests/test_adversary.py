@@ -1,4 +1,4 @@
-"""Attack bookkeeping: capacity, one-for-one trades, exact completion."""
+"""Attack bookkeeping: a budget of seeded reds, one-for-one trades, exact completion."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from shardsim.adversary import AdversaryState, AttackError, plan_attack
 
 
-def _state(n=20, capacity=5, t_takeover=3, reds=(0, 1, 2, 3, 4)):
-    state = AdversaryState(n, capacity, t_takeover)
-    state.seed_red(np.array(reds, dtype=int))
-    return state
+def _state(n=20, t_takeover=3, reds=(0, 1, 2, 3, 4), bins=None, m=1):
+    red = np.zeros(n, dtype=bool)
+    red[list(reds)] = True
+    return AdversaryState(red, np.zeros(n, dtype=int) if bins is None else bins, m, t_takeover)
 
 
 def test_launch_and_complete_swap_colors():
@@ -20,7 +20,7 @@ def test_launch_and_complete_swap_colors():
     # Targets stay blue and releases red until completion; neither is free.
     assert not state.red[[5, 6]].any() and not state.free_blue[[5, 6]].any()
     assert state.red[[0, 1]].all() and not state.free_red[[0, 1]].any()
-    assert state.capacity_used() == 5
+    assert int(state.red.sum()) == 5
 
     assert state.complete_due(4) == []
     done = state.complete_due(5)
@@ -101,47 +101,17 @@ def test_repeated_targets_or_releases_rejected():
     with pytest.raises(AttackError):
         state.launch(np.array([-1, 19]), np.array([0, 1]), round=1)  # ball 19 twice
     assert _same(_snapshot(state), before)
-    assert state.capacity_used() == 5
     state.launch(np.array([5, 6]), np.array([0, 1]), round=1)
     state.complete_due(4)
     assert int(state.red.sum()) == 5
 
 
-def test_capacity_exceeded_detected_and_rolled_back():
-    # Trades are one-for-one, so capacity is checked where reds are seeded:
-    # an over-capacity seeding is rejected and leaves the state untouched.
-    state = AdversaryState(20, 4, 3)
-    before = _snapshot(state)
-    with pytest.raises(AttackError, match="capacity"):
-        state.seed_red(np.array([0, 1, 2, 3, 4]))
-    assert _same(_snapshot(state), before)
-    state.seed_red(np.array([0, 1, 2, 3]))
-    assert state.capacity_used() == 4
-    state.launch(np.array([5]), np.array([0]), round=1)
-    with pytest.raises(AttackError, match="in flight"):
-        state.seed_red(np.array([6]))
-
-
-def test_peak_usage_tracks_maximum():
-    # Usage is the red count, which one-for-one trades never change, so the
-    # usage after seeding is the peak a run reports.
-    state = _state()
-    assert state.capacity_used() == 5
-    state.launch(np.array([5]), np.array([0]), round=1)
-    assert state.capacity_used() == 5
-    state.complete_due(4)
-    assert state.capacity_used() == int(state.red.sum()) == 5
-
-
 def test_plan_attack_greedy_targets_hottest_bin():
     # Red ratios: bin 0 = 2/8 (coldest, holds two reds to retire),
     # bin 1 = 5/8 (hottest, three free blues), bin 2 = 2/4.
-    state = _state(n=20, capacity=12, reds=(0, 1, 8, 9, 10, 11, 12, 16, 17))
-    rng = np.random.default_rng(0)
     bins = np.array([0] * 8 + [1] * 8 + [2] * 4)
-    with pytest.raises(AttackError):
-        plan_attack("adaptive-greedy", state, 2, rng)  # no bins tracked yet
-    state.track(bins, 3)
+    state = _state(reds=(0, 1, 8, 9, 10, 11, 12, 16, 17), bins=bins, m=3)
+    rng = np.random.default_rng(0)
     plan = plan_attack("adaptive-greedy", state, 2, rng)
     assert plan is not None
     targets, releases = plan
@@ -164,10 +134,9 @@ def test_plan_attack_random_is_launchable():
 
 def test_plan_attack_none_when_nothing_to_trade():
     rng = np.random.default_rng(2)
-    no_reds = AdversaryState(10, 0, 3)
+    no_reds = _state(n=10, reds=())
     assert plan_attack("adaptive-greedy", no_reds, 4, rng) is None
-    all_red = AdversaryState(3, 3, 3)
-    all_red.seed_red(np.arange(3))
+    all_red = _state(n=3, reds=range(3))
     assert plan_attack("adaptive-greedy", all_red, 4, rng) is None
 
 
@@ -225,7 +194,6 @@ def _check_against_model(state, model, bins, m):
     assert np.array_equal(state.free_red, free_red)
     assert state.n_free_blue == int(free_blue.sum())
     assert state.n_free_red == int(free_red.sum())
-    assert state.capacity_used() == int(model.red.sum())
     assert state.red_counts == np.bincount(bins[model.red], minlength=m).tolist()
     assert state.totals == np.bincount(bins, minlength=m).tolist()
 
@@ -234,31 +202,18 @@ def _check_against_model(state, model, bins, m):
 @given(st.data())
 def test_maintained_state_matches_recomputation(data):
     """Random launches (valid, planned and rejected), completions and moves
-    leave the colors, free masks, their sizes, the usage and the per-bin
-    counts equal to those of a model that tracks each ball's status."""
+    leave the colors, free masks, their sizes and the per-bin counts equal
+    to those of a model that tracks each ball's status."""
     n = data.draw(st.integers(2, 24), label="n")
     m = data.draw(st.integers(1, 5), label="m")
     n_red = data.draw(st.integers(0, n), label="n_red")
-    capacity = data.draw(st.integers(max(0, n_red - 2), n_red), label="capacity")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     t_takeover = data.draw(st.integers(1, 4), label="t_takeover")
-    state = AdversaryState(n, capacity, t_takeover)
     model = _Model(n, t_takeover)
     bins = rng.integers(0, m, n)
-    track_first = data.draw(st.booleans(), label="track before seeding")
-    if track_first:
-        state.track(bins, m)
     seeded = rng.choice(n, size=n_red, replace=False)
-    if capacity < n_red:
-        before = _snapshot(state)
-        with pytest.raises(AttackError):
-            state.seed_red(seeded)
-        assert _same(_snapshot(state), before)
-    else:
-        state.seed_red(seeded)
-        model.red[seeded] = True
-    if not track_first:
-        state.track(bins, m)
+    model.red[seeded] = True
+    state = AdversaryState(model.red.copy(), bins, m, t_takeover)
     _check_against_model(state, model, bins, m)
 
     ball = st.integers(0, n - 1)

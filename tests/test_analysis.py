@@ -292,7 +292,7 @@ def test_iterated_adaptive_respects_capacity():
         seed=9,
     )
     assert res.capacity == 200
-    assert res.peak_capacity_used <= res.capacity
+    assert res.peak_capacity_used == res.capacity
     assert res.attacks_launched >= res.attacks_completed > 0
 
 
@@ -306,7 +306,7 @@ def test_iterated_adaptive_random_runs():
         t_takeover=8,
         seed=10,
     )
-    assert res.peak_capacity_used <= res.capacity
+    assert res.peak_capacity_used == res.capacity
     assert res.attacks_completed > 0
 
 

@@ -222,7 +222,7 @@ def test_negative_mode_in_file_only_records_the_flag(tmp_path, recorded, flag, e
     assert main(argv) == expect
 
 
-@pytest.mark.parametrize("command", ["simulate", "oracle-compare"])
+@pytest.mark.parametrize("command", ["simulate", "oracle-compare", "bins-mc"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
@@ -368,7 +368,7 @@ def test_bins_mc_adaptive(tmp_path):
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_OK
     stats = dict(zip(*_rows(out / "stats.csv")[:2]))
     assert int(stats["attacks_launched"]) > 0
-    assert int(stats["peak_capacity_used"]) <= int(stats["capacity"])
+    assert int(stats["peak_capacity_used"]) == int(stats["capacity"])
 
 
 def test_bins_mc_static_rejects_rounds(tmp_path):
@@ -412,27 +412,29 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad",
+    ("bad", "message"),
     [
-        "strategy = adaptive-greedy\nt_takeover = 10\nattack_size = 0\n",
-        "strategy = adaptive-greedy\nt_takeover = 10\nattack_size = -3\n",
-        "red_fraction = -0.1\n",
-        "red_fraction = 1.0\n",
-        "n = 0\n",
-        "m = 0\n",
-        "strategy = static\nt_takeover = 5\nattack_size = 3\n",
-        "strategy = none\nattack_size = 3\n",
+        ("strategy = adaptive-greedy\nt_takeover = 10\nattack_size = 0\n", "attack_size"),
+        ("strategy = adaptive-greedy\nt_takeover = 10\nattack_size = -3\n", "attack_size"),
+        ("red_fraction = -0.1\n", "red_fraction"),
+        ("red_fraction = 1.0\n", "red_fraction"),
+        ("n = 0\n", "must be positive"),
+        ("m = 0\n", "must be positive"),
+        ("strategy = static\nt_takeover = 5\nattack_size = 3\n", "adaptive strategies only"),
+        ("strategy = none\nattack_size = 3\n", "adaptive strategies only"),
+        ("seed = -1\n", "seed must be non-negative"),
     ],
     ids=[
         "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0",
-        "static-takeover-keys", "none-attack_size",
+        "static-takeover-keys", "none-attack_size", "seed=-1",
     ],
 )
-def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, capsys):
+def test_bins_mc_iterated_rejects_bad_values(tmp_path, bad, message, capsys):
     cfg = _write(tmp_path, "[bins]\nmode = iterated\nrounds = 20\n" + bad)
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not out.exists()
 
 
@@ -443,12 +445,22 @@ def test_bins_mc_static_rejects_bad_fraction(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["trials = 0", "m = 0", "n = 0"])
-def test_bins_mc_static_rejects_nonpositive(tmp_path, bad, capsys):
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        ("trials = 0", "must be positive"),
+        ("m = 0", "must be positive"),
+        ("n = 0", "must be positive"),
+        ("seed = -1", "seed must be non-negative"),
+    ],
+    ids=["trials = 0", "m = 0", "n = 0", "seed = -1"],
+)
+def test_bins_mc_static_rejects_nonpositive(tmp_path, bad, message, capsys):
     cfg = _write(tmp_path, f"[bins]\nmode = static\n{bad}\n")
     out = tmp_path / "out"
     assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
     assert not out.exists()
 
 

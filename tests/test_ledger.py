@@ -491,11 +491,7 @@ def _grow_and_verify(pool, ctx):
     chosen = set()
     for tx in sorted(pool, key=lambda t: t.tx_id):
         candidate = chosen | {tx}
-        try:
-            block = Block.of(candidate)
-        except LedgerError:
-            continue
-        if verify(block, ctx):
+        if verify(Block.of(candidate), ctx):
             chosen = candidate
     return chosen
 
