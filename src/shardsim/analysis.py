@@ -37,7 +37,8 @@ _ITERATED_STREAM = 11
 
 STRATEGIES = ("none", "static", "adaptive-greedy", "adaptive-random")
 
-# Trials per batch of the static experiment, to bound memory.
+# A batch of the static experiment holds at most _STATIC_CHUNK * 8 (trial,
+# bin) cells: _STATIC_CHUNK trials up to m = 8, fewer above, to bound memory.
 _STATIC_CHUNK = 200_000
 
 
@@ -138,7 +139,7 @@ def mc_static_failure_rate(
     """One-shot experiment: throw reds and blues uniformly, count failures.
 
     A trial fails when any bin fails ``committee_fails``. Vectorized over
-    trials in batches of ``_STATIC_CHUNK`` to bound memory.
+    trials in batches whose (trial, bin) cells are capped (``_STATIC_CHUNK``).
     """
     if n < 1 or m < 1 or trials < 1:
         raise ValueError("n, m and trials must be positive")
@@ -153,9 +154,10 @@ def mc_static_failure_rate(
     failures = 0
     ratio_sum = 0.0
     ratio_count = 0
+    batch = _STATIC_CHUNK * 8 // max(m, 8)
     done = 0
     while done < trials:
-        size = min(_STATIC_CHUNK, trials - done)
+        size = min(batch, trials - done)
         reds = rng.multinomial(n_red, pvals, size=size)
         blues = rng.multinomial(n_blue, pvals, size=size)
         totals = reds + blues

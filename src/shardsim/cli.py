@@ -63,9 +63,15 @@ class BinsConfig:
     seed: int = 0
 
 
-# Fields only one bins mode reads; the other mode rejects them and does not echo them.
-_STATIC_ONLY = ("trials",)
-_ITERATED_ONLY = ("t_lease", "rounds", "strategy", "t_takeover", "attack_size")
+# bins-mc mode -> (its Monte Carlo function, the [bins] keys it reads: that
+# function's arguments). The other mode's keys are rejected and not echoed.
+_BINS_MODES = {
+    "static": (mc_static_failure_rate, "n m red_fraction trials seed".split()),
+    "iterated": (
+        mc_iterated_lazy,
+        "n m t_lease rounds strategy red_fraction t_takeover attack_size seed".split(),
+    ),
+}
 
 
 @dataclass
@@ -113,11 +119,12 @@ _LAYOUT = {
 def _read_ini(path: Optional[str]) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        target = Path(path)
-        if not target.is_file():
-            raise ConfigError(f"config file {path!r} does not exist")
         try:
-            cp.read(target, encoding="utf-8")
+            cp.read_string(Path(path).read_text(encoding="utf-8"), source=path)
+        except (FileNotFoundError, IsADirectoryError) as exc:
+            raise ConfigError(f"config file {path!r} does not exist") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path!r}: {exc}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
     if cp.defaults():
@@ -182,7 +189,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.out!r}: {exc}") from exc
     return out
 
 
@@ -268,58 +278,36 @@ def cmd_oracle_compare(args) -> int:
 def cmd_bins_mc(args) -> int:
     cp = _read_ini(args.config)
     cfg = _load(BinsConfig, cp, seed=args.seed, rounds=args.rounds)
-    if cfg.mode not in ("static", "iterated"):
+    if cfg.mode not in _BINS_MODES:
         raise ConfigError(f"unknown bins mode {cfg.mode!r}")
-    if cfg.mode == "static" and args.rounds is not None:
+    function, keys = _BINS_MODES[cfg.mode]
+    if "rounds" not in keys and args.rounds is not None:
         raise ConfigError("--rounds applies to iterated bins-mc only")
-    unused = _ITERATED_ONLY if cfg.mode == "static" else _STATIC_ONLY
+    unused = tuple(f.name for f in dataclasses.fields(cfg) if f.name not in ("mode", *keys))
     for key in unused:
         if cp.has_option("bins", key):
             raise ConfigError(f"[bins] {key} does not apply to {cfg.mode} bins-mc")
+    extra = {"stats_every": max(1, cfg.rounds // 1000)} if cfg.mode == "iterated" else {}
+    try:
+        res = function(**{key: getattr(cfg, key) for key in keys}, **extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.mode == "static":
-        try:
-            res = mc_static_failure_rate(cfg.n, cfg.m, cfg.red_fraction, cfg.trials, cfg.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        columns = [f.name for f in dataclasses.fields(res)]
         print(
             f"{res.failures} failing trials of {res.trials} "
             f"(rate {res.rate:.3g}, bound {res.analytic_bound:.3g})"
         )
     else:
-        try:
-            res = mc_iterated_lazy(
-                cfg.n,
-                cfg.m,
-                cfg.t_lease,
-                cfg.rounds,
-                strategy=cfg.strategy,
-                red_fraction=cfg.red_fraction,
-                t_takeover=cfg.t_takeover,
-                attack_size=cfg.attack_size,
-                seed=cfg.seed,
-                stats_every=max(1, cfg.rounds // 1000),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # Not the dataclass fields: those also hold the failure rounds and captures.
-        columns = [
-            "n",
-            "m",
-            "t_lease",
-            "rounds",
-            "strategy",
-            "failures",
-            "mean_red_ratio",
-            "attacks_launched",
-            "attacks_completed",
-            "capacity",
-            "peak_capacity_used",
-        ]
         print(f"{res.failures} failing rounds of {res.rounds} ({cfg.strategy})")
     out = _out_dir(args)
-    if cfg.mode == "iterated":
+    if hasattr(res, "failure_rounds"):
         _write_csv(out / "failures.csv", ["round"], ((r,) for r in res.failure_rounds))
+    # Every scalar field of the result; failure rounds are counted.
+    columns = [
+        "failures" if f.name == "failure_rounds" else f.name
+        for f in dataclasses.fields(res)
+        if f.name != "captures"
+    ]
     _write_csv(out / "stats.csv", columns, [[getattr(res, c) for c in columns]])
     _dump(cfg, out, omit=unused)
     return EXIT_OK

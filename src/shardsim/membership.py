@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .crypto import be8, hash_mod, oracle_hash, unit_hash
-from .keys import KeyPair, PublicKey, SignatureScheme, sign_bytes
+from .keys import KeyPair, PublicKey, SignatureScheme
 from .partition import shard_index
 
 
@@ -73,7 +73,9 @@ class NodeRecord:
     verified: Optional[tuple[int, bytes, int]] = None
 
 
-def evolve_shard_seed(seed: bytes, round: int, leader: Optional[KeyPair] = None) -> bytes:
+def evolve_shard_seed(
+    scheme: SignatureScheme, seed: bytes, round: int, leader: Optional[KeyPair] = None
+) -> bytes:
     """Next round's seed for one shard.
 
     A round with a leader (a non-empty sub-block) folds in the leader's
@@ -84,7 +86,7 @@ def evolve_shard_seed(seed: bytes, round: int, leader: Optional[KeyPair] = None)
     material = seed + be8(round + 1)
     if leader is None:
         return oracle_hash(material)
-    return oracle_hash(sign_bytes(leader.sk, material))
+    return oracle_hash(scheme.sign(leader.sk, material))
 
 
 def shuffle_slot(pk: PublicKey, seed: bytes, t_lease: int) -> int:
@@ -245,7 +247,7 @@ class Membership:
         seed = self._enter(
             r + 1,
             (
-                evolve_shard_seed(shard_seed, r, leader)
+                evolve_shard_seed(self.scheme, shard_seed, r, leader)
                 for shard_seed, leader in zip(self.shard_seeds, leaders)
             ),
         )

@@ -1,6 +1,7 @@
 """Bound formulas and the balls-into-bins Monte Carlo machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_static_rejects_bad_fraction():
 def test_bound_table_rejects_nonpositive_rows(row):
     with pytest.raises(ValueError):
         bound_table([row])
+
+
+def test_static_memory_does_not_grow_with_m():
+    # A batch caps (trial, bin) cells, not trials: 4000 trials of 1000 bins
+    # peaked at 187.5 MiB when only trials were capped.
+    tracemalloc.start()
+    try:
+        mc_static_failure_rate(6000, 1000, trials=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, peak
 
 
 def test_static_reproducible():

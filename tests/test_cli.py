@@ -1,7 +1,11 @@
 """Command-line driver: exit codes, config handling, output files."""
 
+import builtins
 import configparser
 import csv
+import dataclasses
+import inspect
+import io
 import os
 import subprocess
 import sys
@@ -9,15 +13,19 @@ import sys
 import pytest
 
 from shardsim.analysis import (
+    IteratedBinsResult,
+    StaticBinsResult,
     bound_table,
     mc_iterated_lazy,
     mc_static_failure_rate,
 )
 from shardsim.cli import (
+    _BINS_MODES,
     EXIT_BREACH,
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
+    BinsConfig,
     main,
 )
 from shardsim.membership import golden_vector_text
@@ -238,6 +246,51 @@ def test_missing_config_file(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    ("case", "message"),
+    [
+        ("missing", "does not exist"),
+        ("directory", "does not exist"),
+        ("unreadable", "Permission denied"),
+    ],
+)
+def test_unusable_config_file_is_a_config_error(tmp_path, monkeypatch, capsys, case, message):
+    path = tmp_path / "run.ini"
+    if case == "directory":
+        path.mkdir()
+    elif case == "unreadable":
+        # chmod cannot deny root a read, so refuse the open itself, under
+        # both of its names, whichever one the reader calls.
+        path.write_text("[run]\nm = 4\nrounds = 3\n")
+        real_open = io.open
+
+        def deny(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", deny)
+        monkeypatch.setattr(io, "open", deny)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "oracle-compare", "bins-mc", "bound-table", "golden-vectors"]
+)
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "out" if below else taken
+    assert main([command, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: cannot make output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
 # -- oracle-compare -----------------------------------------------------------
 
 
@@ -369,6 +422,24 @@ def test_bins_mc_adaptive(tmp_path):
     stats = dict(zip(*_rows(out / "stats.csv")[:2]))
     assert int(stats["attacks_launched"]) > 0
     assert int(stats["peak_capacity_used"]) == int(stats["capacity"])
+
+
+def test_bins_modes_read_their_functions_arguments(tmp_path):
+    # A mode's [bins] keys are its function's arguments, and the two modes'
+    # keys with `mode` are the whole config.
+    read = {"mode"}
+    for function, keys in _BINS_MODES.values():
+        assert set(keys) <= set(inspect.signature(function).parameters)
+        read |= set(keys)
+    assert read == {f.name for f in dataclasses.fields(BinsConfig)}
+    # stats.csv holds the result's fields; only `failures` is not one of them.
+    extra = set()
+    for mode, result in (("static", StaticBinsResult), ("iterated", IteratedBinsResult)):
+        cfg = _write(tmp_path, f"[bins]\nmode = {mode}\nn = 100\n", name=f"{mode}.ini")
+        out = tmp_path / mode
+        assert main(["bins-mc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        extra |= set(_rows(out / "stats.csv")[0]) - {f.name for f in dataclasses.fields(result)}
+    assert extra == {"failures"}
 
 
 def test_bins_mc_static_rejects_rounds(tmp_path):

@@ -508,27 +508,29 @@ def test_consecutive_epoch_draws_uncorrelated():
 
 
 def test_empty_round_seed_evolution_is_leader_free():
-    s = evolve_shard_seed(b"seed0", 3)
-    assert s == evolve_shard_seed(b"seed0", 3, leader=None)
-    assert s != evolve_shard_seed(b"seed0", 4)
+    scheme = SignatureScheme()
+    s = evolve_shard_seed(scheme, b"seed0", 3)
+    assert s == evolve_shard_seed(scheme, b"seed0", 3, leader=None)
+    assert s != evolve_shard_seed(scheme, b"seed0", 4)
 
 
 def test_leader_changes_seed_path():
     scheme = SignatureScheme()
     a = scheme.keygen("leader-a")
     b = scheme.keygen("leader-b")
-    empty = evolve_shard_seed(b"seed0", 3)
-    with_a = evolve_shard_seed(b"seed0", 3, leader=a)
-    with_b = evolve_shard_seed(b"seed0", 3, leader=b)
+    empty = evolve_shard_seed(scheme, b"seed0", 3)
+    with_a = evolve_shard_seed(scheme, b"seed0", 3, leader=a)
+    with_b = evolve_shard_seed(scheme, b"seed0", 3, leader=b)
     assert len({empty, with_a, with_b}) == 3
-    assert with_a == evolve_shard_seed(b"seed0", 3, leader=a)
+    assert with_a == evolve_shard_seed(scheme, b"seed0", 3, leader=a)
 
 
 def test_seed_sequence_uniform_ks():
+    scheme = SignatureScheme()
     seed = GENESIS
     values = []
     for r in range(10_000):
-        seed = evolve_shard_seed(seed, r)
+        seed = evolve_shard_seed(scheme, seed, r)
         values.append(unit_hash(seed) / (1 << UNIT_BITS))
     stat, pvalue = scipy.stats.kstest(values, "uniform")
     assert pvalue > 0.01, stat
