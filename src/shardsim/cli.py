@@ -196,6 +196,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_out(args) -> None:
+    """Reject, without making it, an ``--out`` whose nearest existing path is no directory."""
+    out = Path(args.out)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot make output directory {args.out!r}: not a directory: {nearest}")
+
+
 def _simulate(args, honest: bool = False) -> tuple[RunConfig, Path, RunResult]:
     """Load and check the run's config, echo it to ``--out`` and run it.
 
@@ -288,6 +296,7 @@ def cmd_bins_mc(args) -> int:
         if cp.has_option("bins", key):
             raise ConfigError(f"[bins] {key} does not apply to {cfg.mode} bins-mc")
     extra = {"stats_every": max(1, cfg.rounds // 1000)} if cfg.mode == "iterated" else {}
+    _check_out(args)  # the directory is made last, so a rejected config leaves none
     try:
         res = function(**{key: getattr(cfg, key) for key in keys}, **extra)
     except ValueError as exc:

@@ -303,52 +303,52 @@ class Simulation:
         ]
         return Block.of([tx for tx in base if tx.sender != spender.pk] + pair)
 
-    def _sample_candidate(self, shard: int, r: int) -> Optional[Block]:
-        """Random candidate block drawn from the shard's own senders."""
-        rng = self._monitor_rng
-        senders = self._clients_by_shard[shard - 1]
-        if not senders:
-            return None
-        own = self._own_txs[shard - 1]
-        if own and rng.random() < 0.25:
+    def _sample_candidate(self, shard: int, replay: int, draws: list[list[int]]) -> Block:
+        """Candidate block: own transaction ``replay`` if it is not negative, else
+        one payment per (resident index, amount, client index) draw."""
+        if replay >= 0:
             # Replay: already-recorded transactions must fail identically.
-            return Block.of([own[int(rng.integers(len(own)))]])
-        txs = []
-        for _ in range(int(rng.integers(1, 4))):
-            kp = senders[int(rng.integers(len(senders)))]
-            bal = self.global_ctx.balance(kp.pk)
-            amount = int(rng.integers(1, max(2, 2 * bal + 1)))
-            to = self.clients[int(rng.integers(len(self.clients)))].pk
-            self._candidate_counter += 1
-            txs.append(
-                build_transaction(
-                    self.scheme,
-                    kp,
-                    [(to, amount)],
-                    f"cand{self._candidate_counter:08d}",
-                )
+            return Block.of([self._own_txs[shard - 1][replay]])
+        residents, first = self._clients_by_shard[shard - 1], self._candidate_counter + 1
+        self._candidate_counter += len(draws)
+        return Block.of(
+            build_transaction(
+                self.scheme, residents[s], [(self.clients[to].pk, amount)], f"cand{k:08d}"
             )
-        return Block.of(txs)
+            for k, (s, amount, to) in enumerate(draws, start=first)
+        )
 
     def _self_containment_breaches(self, r: int) -> list[MonitorBreach]:
+        """Each shard's first candidate that verifies differently locally and globally.
+
+        A shard draws its candidates' randomness at once, one call per kind: replay
+        flags and picks (if it has own transactions), sizes, three senders, their
+        amounts (up to twice each sender's global balance) and three recipients.
+        """
+        rng, samples = self._monitor_rng, self.cfg.self_containment_samples
         breaches = []
         for shard in range(1, self.cfg.m + 1):
-            for _ in range(self.cfg.self_containment_samples):
-                candidate = self._sample_candidate(shard, r)
-                if candidate is None:
-                    continue
+            residents, own = self._clients_by_shard[shard - 1], self._own_txs[shard - 1]
+            if not residents:
+                continue
+            replays = [-1] * samples
+            if own:
+                flags = rng.random(samples) < 0.25
+                replays = np.where(flags, rng.integers(len(own), size=samples), -1).tolist()
+            sizes = rng.integers(1, 4, samples).tolist()
+            senders = rng.integers(len(residents), size=(samples, 3))
+            bal = np.array([self.global_ctx.balance(residents[i].pk) for i in senders.flat])
+            amounts = rng.integers(1, np.maximum(2, 2 * bal.reshape(senders.shape) + 1))
+            recipients = rng.integers(len(self.clients), size=(samples, 3))
+            # Row k holds candidate k's three (sender, amount, recipient) draws.
+            rows = np.stack((senders, amounts, recipients), axis=2).tolist()
+            for replay, size, row in zip(replays, sizes, rows):
+                candidate = self._sample_candidate(shard, replay, row[:size])
                 local = verify(candidate, self.local_ctx[shard - 1])
                 globally = verify(candidate, self.global_ctx)
                 if local != globally:
-                    breaches.append(
-                        MonitorBreach(
-                            r,
-                            shard,
-                            "self-containment",
-                            f"candidate verifies {local} locally, "
-                            f"{globally} globally",
-                        )
-                    )
+                    detail = f"candidate verifies {local} locally, {globally} globally"
+                    breaches.append(MonitorBreach(r, shard, "self-containment", detail))
                     break
         return breaches
 

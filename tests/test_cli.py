@@ -287,7 +287,10 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command, below):
     taken.write_text("keep")
     out = taken / "out" if below else taken
     assert main([command, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error: cannot make output directory" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "config error: cannot make output directory" in printed.err
+    # Rejected before any run: bins-mc prints no Monte Carlo summary.
+    assert printed.out == ""
     assert taken.read_text() == "keep"
 
 

@@ -9,7 +9,9 @@ the ``oracle-compare`` mismatch line and the benchmark digests are what see
 a change to which transactions a block holds.
 
 A change that is meant to move an output regenerates the data file and
-names the changed entries:
+names the changed entries; the script prints each entry that moved against
+the committed file (an added or dropped entry counts as moved) and how many
+stayed the same:
 
     PYTHONPATH=src python tests/test_outputs_golden.py
 """
@@ -155,5 +157,19 @@ if __name__ == "__main__":
         "cli": {name: record_cli(name) for name in CLI_RUNS},
         "bench": {_bench_key(name, seed): record_bench(name, seed) for name, seed in BENCH_RUNS},
     }
+    before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    names = [
+        (group, key)
+        for group in data
+        for key in sorted({*data[group], *before.get(group, {})})
+    ]
+    moved = [
+        f"{group}/{key}"
+        for group, key in names
+        if data[group].get(key) != before.get(group, {}).get(key)
+    ]
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data['cli'])} CLI runs and {len(data['bench'])} digests to {GOLDEN}")
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"{len(moved)} entries moved, {len(names) - len(moved)} unchanged")

@@ -350,8 +350,8 @@ def test_own_tx_index_matches_rescan():
     sample = sim._sample_candidate
     candidates = []
 
-    def recording(shard, r):
-        candidates.append(sample(shard, r))
+    def recording(*args):
+        candidates.append(sample(*args))
         return candidates[-1]
 
     sim._sample_candidate = recording
@@ -359,10 +359,83 @@ def test_own_tx_index_matches_rescan():
     assert not res.halted, res.breaches
     for own, ctx in zip(sim._own_txs, sim.local_ctx):
         assert own == _own_rescan(ctx)
-    replays = [
-        b for b in candidates if b is not None and not next(iter(b)).tx_id.startswith("cand")
-    ]
+    replays = [b for b in candidates if not next(iter(b)).tx_id.startswith("cand")]
     assert replays
+
+
+def _record_candidates(sim):
+    """Wrap ``sim``'s sampler: each candidate as (shard, block, sender balances).
+
+    The balances are the global ones at sampling time, which the sampler's
+    amount draws are bounded by.
+    """
+    sample, seen = sim._sample_candidate, []
+
+    def recording(shard, *args):
+        block = sample(shard, *args)
+        balances = {tx.sender.id: sim.global_ctx.balance(tx.sender) for tx in block}
+        seen.append((shard, block, balances))
+        return block
+
+    sim._sample_candidate = recording
+    return seen
+
+
+def _fresh(seen):
+    return [(shard, block, bal) for shard, block, bal in seen if _is_fresh(block)]
+
+
+def _is_fresh(block):
+    return next(iter(block)).tx_id.startswith("cand")
+
+
+def test_sampled_candidates_follow_the_draw_rules():
+    sim = Simulation(_cfg(n=60, m=3, rounds=40, seed=4, sync="lazy", t_lease=5))
+    seen = _record_candidates(sim)
+    assert not sim.run().halted
+    assert len(seen) == 3 * 20 * 40
+    clients = {kp.pk.id for kp in sim.clients}
+    # Own transactions are only ever appended, so every replay is still there.
+    own = [{id(tx) for tx in txs} for txs in sim._own_txs]
+    replays = [(shard, block) for shard, block, _ in seen if not _is_fresh(block)]
+    for shard, block in replays:
+        (tx,) = block
+        assert id(tx) in own[shard - 1]
+    overspent = []
+    for shard, block, balances in _fresh(seen):
+        assert 1 <= len(block) <= 3
+        for tx in block:
+            (out,) = tx.outputs
+            assert tx.tx_id.startswith("cand")
+            assert shard_index(tx.sender.position, sim.cfg.m) == shard
+            assert 1 <= out.amount <= max(1, 2 * balances[tx.sender.id])
+            assert out.to.id in clients
+            overspent.append(out.amount > balances[tx.sender.id])
+    assert {len(block) for _, block, _ in _fresh(seen)} == {1, 2, 3}
+    # A candidate replays with probability 1/4 (2400 candidates, sd 0.009),
+    # and a fresh amount, uniform on [1, 2 * balance], overspends with
+    # probability 1/2 (about 3600 transactions, sd 0.008; no sender here is
+    # broke, which would push the share up).
+    assert 0.22 < len(replays) / len(seen) < 0.28
+    assert 0.475 < np.mean(overspent) < 0.525
+
+
+def test_sampler_amounts_at_the_supply_bound():
+    # The largest supply RunConfig admits: 2 * balance + 1 must stay in int64.
+    cfg = _cfg(n=2, initial_balance=2**61 - 1, rounds=10, sync="lazy", t_lease=2)
+    sim = Simulation(cfg)
+    seen = _record_candidates(sim)
+    assert not sim.run().halted
+    # Both keys live in one shard, and the empty one samples nothing.
+    assert sorted(map(len, sim._clients_by_shard)) == [0, 2]
+    assert len(seen) == 20 * cfg.rounds
+    drawn = [
+        (tx.outputs[0].amount, balances[tx.sender.id])
+        for _, block, balances in _fresh(seen)
+        for tx in block
+    ]
+    assert drawn and all(1 <= amount <= max(1, 2 * bal) for amount, bal in drawn)
+    assert max(amount for amount, _ in drawn) >= 2**61
 
 
 # -- negative modes and the Byzantine path ------------------------------------
@@ -378,8 +451,9 @@ def test_conflict_partition_breaches_globally():
     assert first_divergence(res.global_blocks, oracle) == 1
 
 
-def test_broken_sync_trips_containment_monitor():
-    cfg = _cfg(m=2, sync="lazy", t_lease=3, negative_mode="broken-sync", **TIGHT)
+@pytest.mark.parametrize("seed", range(20))
+def test_broken_sync_trips_containment_monitor(seed):
+    cfg = _cfg(m=2, sync="lazy", t_lease=3, negative_mode="broken-sync", **dict(TIGHT, seed=seed))
     res = Simulation(cfg).run()
     # The monitor samples, so detection can lag the defect by a round or
     # two, but never by much under this much admissibility pressure.
