@@ -226,9 +226,13 @@ def mc_iterated_lazy(
     is an error.
 
     Adaptive strategies step round by round on per-bin counts that the
-    ``AdversaryState`` keeps. Under ``none`` and ``static`` the colors never
-    change, so rounds run in blocks (see ``_static_blocks``). Both replay
-    the same random stream.
+    ``AdversaryState`` keeps. ``adaptive-greedy`` draws nothing to plan, so
+    one ``rng.integers`` call draws a lease cycle's re-draws and each round
+    takes its slice in slot-group order; ``adaptive-random`` draws its
+    attacks between re-draws, so it calls once per round. Under ``none`` and
+    ``static`` the colors never change, so rounds run in blocks (see
+    ``_static_blocks``). Bounded draws concatenate, so every path replays
+    the stream of one re-draw call per round.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -242,6 +246,8 @@ def mc_iterated_lazy(
         raise ValueError("t_takeover and attack_size apply to adaptive strategies only")
     if n < 1 or m < 1 or t_lease < 1 or rounds < 1:
         raise ValueError("n, m, t_lease and rounds must be positive")
+    if stats_every < 0:
+        raise ValueError("stats_every must be non-negative")
     if attack_size is not None and attack_size < 1:
         raise ValueError("attack_size must be at least 1")
     if not 0.0 <= red_fraction < 1.0:
@@ -267,11 +273,19 @@ def mc_iterated_lazy(
         if attack_size is None:
             attack_size = max(1, n_red // (2 * t_takeover))
         state = AdversaryState(red, bins, m, t_takeover)
+        # Rounds of re-draws per rng call (only greedy planning draws nothing).
+        cycle = t_lease if strategy == "adaptive-greedy" else 1
+        sizes = [g.size for g in groups]
         for r in range(1, rounds + 1):
             if r > 1:
+                if (r - 2) % cycle == 0:
+                    ahead = range(r, min(r + cycle, rounds + 1))
+                    draws = rng.integers(0, m, sum(sizes[s % t_lease] for s in ahead))
+                    used = 0
                 movers = groups[r % t_lease]
                 if movers.size:
-                    bins[movers] = rng.integers(0, m, movers.size)
+                    bins[movers] = draws[used : used + movers.size]
+                    used += movers.size
                     state.recount()
             failed = any(map(committee_fails, state.red_counts, state.totals))
             if state.complete_due(r):

@@ -233,6 +233,14 @@ def test_iterated_rejects_bad_attack_size_and_fraction(bad):
         mc_iterated_lazy(100, 2, 5, 10, **bad)
 
 
+@pytest.mark.parametrize("path", [dict(strategy="static"), _ADAPTIVE], ids=["batched", "adaptive"])
+def test_iterated_rejects_negative_stats_every(path):
+    # Unchecked, a negative step counts no round on the batched path and
+    # every third round on the adaptive one.
+    with pytest.raises(ValueError, match="stats_every"):
+        mc_iterated_lazy(200, 4, 5, 10, stats_every=-3, **path)
+
+
 def test_iterated_none_strategy_has_no_reds():
     res = mc_iterated_lazy(500, 4, 5, 200, strategy="none", seed=1)
     assert res.failures == 0

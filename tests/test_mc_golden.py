@@ -2,10 +2,12 @@
 
 ``mc_iterated_lazy`` must replay the same random stream however it is
 organised internally, so every output below is pinned bit for bit, and the
-batched static path is compared with a round-by-round reference:
-failure rounds, captured assignments, ``mean_red_ratio``, the attack
-counters and peak capacity use. Regenerate the data file only when the
-process itself is meant to change:
+batched static path and the adaptive path's lease-cycle draws are each
+compared with a round-by-round reference: failure rounds, captured
+assignments, ``mean_red_ratio``, the attack counters and peak capacity use.
+Regenerate the data file only when the process itself is meant to change;
+the script prints each config that moved against the committed file (an
+added or dropped config counts as moved) and how many stayed the same:
 
     PYTHONPATH=src python tests/test_mc_golden.py
 """
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim import analysis
+from shardsim.adversary import AdversaryState, plan_attack
 from shardsim.analysis import mc_iterated_lazy
 
 GOLDEN = Path(__file__).parent / "data" / "mc_iterated_golden.json"
@@ -95,17 +98,22 @@ def test_iterated_outputs_match_golden(kwargs):
     assert record(kwargs) == expected
 
 
-def _round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
-                    capture_rounds, stats_every):
-    """Reference: the static process one round and one draw call at a time."""
+def _first_throw(n, m, t_lease, seed, n_red):
+    """The stream, red mask, slot groups and round-1 bins, drawn in order."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
-    n_red = 0 if strategy == "none" else int(red_fraction * n)
     red = np.zeros(n, dtype=bool)
     if n_red:
         red[rng.choice(n, size=n_red, replace=False)] = True
     slots = rng.integers(0, t_lease, n)
     groups = [np.flatnonzero(slots == s) for s in range(t_lease)]
-    bins = rng.integers(0, m, n)
+    return rng, red, groups, rng.integers(0, m, n)
+
+
+def _round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
+                    capture_rounds, stats_every):
+    """Reference: the static process one round and one draw call at a time."""
+    n_red = 0 if strategy == "none" else int(red_fraction * n)
+    rng, red, groups, bins = _first_throw(n, m, t_lease, seed, n_red)
     failures, captures, ratio_sum, ratio_count = [], {}, 0.0, 0
     for r in range(1, rounds + 1):
         movers = groups[r % t_lease]
@@ -122,6 +130,77 @@ def _round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
             ratio_sum += float((reds[occupied] / totals[occupied]).sum())
             ratio_count += int(occupied.sum())
     return failures, captures, ratio_sum / ratio_count if ratio_count else 0.0
+
+
+def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction,
+                             t_takeover, attack_size, capture_rounds, stats_every):
+    """Reference: the adaptive process with one re-draw call per round.
+
+    After the re-draw, each round checks failure, lands due attacks and
+    checks again, plans and launches, then captures and takes stats, in
+    ``mc_iterated_lazy``'s order.
+    """
+    n_red = int(red_fraction * n)
+    rng, red, groups, bins = _first_throw(n, m, t_lease, seed, n_red)
+    if attack_size is None:
+        attack_size = max(1, n_red // (2 * t_takeover))
+    state = AdversaryState(red, bins, m, t_takeover)
+    failures, captures, ratio_sum, ratio_count = [], {}, 0.0, 0
+
+    def fails():
+        reds, totals = np.array(state.red_counts), np.array(state.totals)
+        return bool(((3 * reds >= totals) & (reds > 0)).any())
+
+    for r in range(1, rounds + 1):
+        movers = groups[r % t_lease]
+        if r > 1 and movers.size:
+            bins[movers] = rng.integers(0, m, movers.size)
+            state.recount()
+        failed = fails()
+        if state.complete_due(r):
+            failed = fails() or failed
+        if failed:
+            failures.append(r)
+        plan = plan_attack(strategy, state, attack_size, rng)
+        if plan is not None:
+            state.launch(*plan, r)
+        if r in capture_rounds:
+            captures[r] = bins.copy()
+        if stats_every and r % stats_every == 0:
+            reds, totals = np.array(state.red_counts), np.array(state.totals)
+            occupied = totals > 0
+            ratio_sum += float((reds[occupied] / totals[occupied]).sum())
+            ratio_count += int(occupied.sum())
+    mean_ratio = ratio_sum / ratio_count if ratio_count else 0.0
+    return failures, captures, mean_ratio, state.launched, state.completed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    m=st.integers(1, 9),
+    t_lease=st.integers(1, 12),
+    extra_takeover=st.integers(0, 6),
+    rounds=st.integers(1, 120),
+    strategy=st.sampled_from(["adaptive-greedy", "adaptive-random"]),
+    seed=st.integers(0, 2**16),
+    red_fraction=st.sampled_from([0.0, 0.25, 0.4]),
+    attack_size=st.one_of(st.none(), st.integers(1, 20)),
+    capture_rounds=st.sets(st.integers(0, 125), max_size=5),
+    stats_every=st.integers(0, 6),
+)
+def test_adaptive_cycles_match_round_by_round(extra_takeover, **kwargs):
+    # Leases longer than n leave slot groups empty, and most runs end
+    # part-way through a lease cycle.
+    kwargs["t_takeover"] = kwargs["t_lease"] + extra_takeover
+    res = mc_iterated_lazy(**kwargs)
+    failures, captures, mean_ratio, launched, completed = _adaptive_round_by_round(**kwargs)
+    assert res.failure_rounds == failures
+    assert sorted(res.captures) == sorted(captures)
+    for r, bins in captures.items():
+        assert np.array_equal(res.captures[r], bins)
+    assert res.mean_red_ratio == mean_ratio
+    assert (res.attacks_launched, res.attacks_completed) == (launched, completed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,5 +249,11 @@ def test_bounded_draws_concatenate(m):
 
 if __name__ == "__main__":
     data = {_key(kwargs): record(kwargs) for kwargs in CONFIGS}
+    before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    keys = sorted({*data, *before})
+    moved = [key for key in keys if data.get(key) != before.get(key)]
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} configs to {GOLDEN}")
+    for key in moved:
+        print(f"moved: {key}")
+    print(f"{len(moved)} configs moved, {len(keys) - len(moved)} unchanged")

@@ -71,6 +71,16 @@ CLI_RUNS = {
         TIGHT_INI.replace("[run]\n", "[run]\nsync = lazy\nt_lease = 3\n"),
         ["--negative-mode", "broken-sync"],
     ),
+    # Seed 9 halts at round 3 under the sampler's batched draws and halted
+    # at round 4 under its former scalar ones, so this entry sees the order
+    # in which the sampler reads the monitor stream.
+    "simulate-broken-sync-seed9": (
+        "simulate",
+        TIGHT_INI.replace("[run]\n", "[run]\nsync = lazy\nt_lease = 3\n").replace(
+            "seed = 7", "seed = 9"
+        ),
+        ["--negative-mode", "broken-sync"],
+    ),
     "simulate-conflict-partition": (
         "simulate",
         TIGHT_INI.replace("[run]\n", "[run]\nm = 2\n"),
