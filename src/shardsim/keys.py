@@ -91,6 +91,9 @@ class SignatureScheme:
     def sign(self, sk: bytes, message: bytes) -> bytes:
         return sign_bytes(sk, message)
 
+    def holds(self, kp: KeyPair) -> bool:
+        return self._secrets.get(kp.pk.id) == kp.sk
+
     def verify(self, pk: PublicKey, message: bytes, signature: bytes) -> bool:
         sk = self._secrets.get(pk.id)
         if sk is None:

@@ -15,9 +15,10 @@ id, so no per-transaction step hashes or compares a ``PublicKey`` object. A
 transaction is its id: it is equal and hashed by ``tx_id``, so a set or a
 block holds one version per id. Its total is fixed at construction.
 
-Admission checks the unseen id, then the budget, then the signature, and a
-transaction keeps the scheme that accepted it: later passes (legality, global
-verify, a second context on the same scheme) skip the signature check.
+Admission checks the unseen id, then the budget, then the signature. A
+transaction carries the scheme that accepts it, from construction if that
+scheme signed it with the sender's registered secret, else from admission:
+later passes on that scheme skip the check, so each is made once per scheme.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ class Transaction:
     length-prefixed (4-byte big-endian), amounts as 8-byte big-endian
     unsigned integers.
 
-    ``total_amount`` is computed once, at construction, and ``signed_for``
-    (the scheme that accepted ``sig``) by admission. Equality and the hash
-    cover ``tx_id`` alone: two versions of one id are equal, and a set keeps
-    the first it is given.
+    ``total_amount`` is computed once, at construction. ``signed_for`` is the
+    scheme that accepts ``sig``: ``build_transaction`` sets it when the
+    scheme holds the sender's secret, admission otherwise. Equality and the
+    hash cover ``tx_id`` alone: two versions of one id are equal, and a set
+    keeps the first it is given.
     """
 
     tx_id: str
@@ -105,7 +107,10 @@ def build_transaction(
 ) -> Transaction:
     outs = tuple(TxOutput(to, amount) for to, amount in outputs)
     sig = scheme.sign(sender.sk, canonical_tx_bytes(tx_id, sender.pk, outs))
-    return Transaction(tx_id, sender.pk, outs, sig)
+    tx = Transaction(tx_id, sender.pk, outs, sig)
+    if scheme.holds(sender):
+        object.__setattr__(tx, "signed_for", scheme)
+    return tx
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,12 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
     The mint key is exempt from the budget check. A failing check changes
     no state, so the signature, the dearest, is checked last.
 
-    The scheme that accepts a signature is kept on the transaction and later
-    passes trust it. That is exact: a transaction is frozen, and a scheme
-    never changes or drops a registered key's secret, so S accepting T stays
-    true. Rejections are not kept; other schemes and copies check afresh.
+    The scheme S that accepts a signature is kept on the transaction T, and
+    later passes trust it; ``build_transaction`` keeps S already when S holds
+    the secret that signed T, as ``verify`` would recompute that signature.
+    That is exact: T is frozen, and a scheme never changes or drops a
+    registered key's secret, so S accepting T stays true. Rejections are not
+    kept; other schemes and copies check afresh.
     """
     seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx.mint.id, ctx.balances
     spend: dict[str, int] = {}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardsim.ledger import Block, build_transaction, verify
+from shardsim.ledger import Block, LedgerContext, build_transaction, verify
 from shardsim.membership import MembershipCertificate, committee_fails
 from shardsim.partition import shard_index
 from shardsim.simulation import (
@@ -561,6 +561,35 @@ def test_colliding_ids_enter_each_local_context_once(seed):
         ids = [tx.tx_id for tx in iter_txs(ctx)]
         assert len(ids) == len(set(ids))
     assert all(frac <= 1.0 for frac in res.local_fractions), res.local_fractions
+
+
+def test_sub_blocks_sharing_an_id_breach_global_admissibility(monkeypatch):
+    # Shard 2 also decides one honest transaction of shard 1's. Under eager
+    # sync that keeps shard 2 legal, and the deduplicated published block is
+    # the honest one, so only the disjointness clause can see the collision.
+    decide = Simulation.decide_sub_block
+    shared = []
+
+    def doubled(self, shard, participations, pool, r):
+        block, certified, byz, breach = decide(self, shard, participations, pool, r)
+        if shard == 1:
+            shared.append(min(block.txs, key=lambda tx: tx.tx_id))
+        elif shard == 2:
+            block = Block.of([*block, shared[-1]])
+        return block, certified, byz, breach
+
+    monkeypatch.setattr(Simulation, "decide_sub_block", doubled)
+    cfg = _cfg(n=40, m=2, rounds=5, seed=0)
+    sim = Simulation(cfg)
+    res = sim.run()
+    assert [(b.round, b.shard, b.kind) for b in res.breaches] == [(1, 0, "global-admissibility")]
+    assert [rec.status for rec in res.records] == ["ok", "ok"]
+    genesis, published = (e.block for e in sim.global_ctx.entries)
+    assert shared[0] in published.txs
+    ctx = LedgerContext(sim.scheme, sim.mint.pk)
+    ctx.append(genesis, round=0)
+    assert verify(published, ctx)
+    assert res.global_blocks == run_unsharded_oracle(dataclasses.replace(cfg, rounds=1))
 
 
 _SYNCS = {"eager": dict(sync="eager"), "lazy": dict(sync="lazy", t_lease=3)}
