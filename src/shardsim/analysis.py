@@ -218,12 +218,13 @@ def mc_iterated_lazy(
 
     Every ball carries a fixed slot in [0, t_lease); in round r exactly the
     balls with slot r mod t_lease re-draw their bin uniformly. Round 1
-    throws everyone. Failure is evaluated after each round's re-draw and
-    again after any attack completions; a round counts once however many
-    bins fail. ``capture_rounds`` snapshots the full assignment at the
-    named rounds for distribution tests. ``t_takeover`` and ``attack_size``
-    belong to the adaptive strategies; under ``none`` or ``static`` either one
-    is an error.
+    throws everyone. A round fails when any bin fails ``committee_fails`` on
+    the state the round ends with, after its re-draw and its landings; every
+    strategy checks once per round. ``capture_rounds`` snapshots the full
+    assignment at the named rounds for distribution tests. ``t_takeover``
+    (at least 1, and free to undercut the lease) and ``attack_size`` belong
+    to the adaptive strategies; under ``none`` or ``static`` either one is
+    an error.
 
     Adaptive strategies step round by round on per-bin counts that the
     ``AdversaryState`` keeps. ``adaptive-greedy`` draws nothing to plan, so
@@ -240,8 +241,8 @@ def mc_iterated_lazy(
     if adaptive:
         if t_takeover is None:
             raise ValueError("adaptive strategies need t_takeover")
-        if t_lease > t_takeover:
-            raise ValueError("adaptive strategies require t_lease <= t_takeover")
+        if t_takeover < 1:
+            raise ValueError("t_takeover must be at least 1")
     elif t_takeover is not None or attack_size is not None:
         raise ValueError("t_takeover and attack_size apply to adaptive strategies only")
     if n < 1 or m < 1 or t_lease < 1 or rounds < 1:
@@ -287,10 +288,8 @@ def mc_iterated_lazy(
                     bins[movers] = draws[used : used + movers.size]
                     used += movers.size
                     state.recount()
-            failed = any(map(committee_fails, state.red_counts, state.totals))
-            if state.complete_due(r):
-                failed = any(map(committee_fails, state.red_counts, state.totals)) or failed
-            if failed:
+            state.complete_due(r)
+            if any(map(committee_fails, state.red_counts, state.totals)):
                 result.failure_rounds.append(r)
             plan = plan_attack(strategy, state, attack_size, rng)
             if plan is not None:

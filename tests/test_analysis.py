@@ -21,6 +21,8 @@ from shardsim.analysis import (
     wilson_interval,
 )
 
+from binslib import CONTROL_SEEDS, takeover_edge
+
 LOG10_E = math.log10(math.e)
 
 
@@ -198,13 +200,15 @@ def test_iterated_rejects_bad_config():
     with pytest.raises(ValueError):
         mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy")
     with pytest.raises(ValueError):
-        mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy", t_takeover=3)
-    with pytest.raises(ValueError):
         mc_iterated_lazy(100, 2, 0, 10)
     with pytest.raises(ValueError):
         mc_iterated_lazy(0, 2, 5, 10)
     with pytest.raises(ValueError):
         mc_iterated_lazy(100, 0, 5, 10)
+    # A takeover shorter than the lease is valid input: the futility claim
+    # does not cover it, but the process is well defined.
+    res = mc_iterated_lazy(100, 2, 5, 10, strategy="adaptive-greedy", t_takeover=3)
+    assert res.attacks_completed > 0
 
 
 _ADAPTIVE = dict(strategy="adaptive-greedy", t_takeover=5)
@@ -215,6 +219,10 @@ _ADAPTIVE = dict(strategy="adaptive-greedy", t_takeover=5)
     [
         dict(_ADAPTIVE, attack_size=0),
         dict(_ADAPTIVE, attack_size=-3),
+        # Zero divides in the attack_size default, and a takeover below 1
+        # launches attacks that never land.
+        dict(_ADAPTIVE, t_takeover=0, attack_size=2),
+        dict(_ADAPTIVE, t_takeover=-2),
         dict(_ADAPTIVE, red_fraction=-0.1),
         dict(_ADAPTIVE, red_fraction=1.0),
         # Keys only the adaptive strategies read.
@@ -224,7 +232,8 @@ _ADAPTIVE = dict(strategy="adaptive-greedy", t_takeover=5)
         dict(strategy="none", attack_size=3),
     ],
     ids=[
-        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1",
+        "attack_size=0", "attack_size=-3", "t_takeover=0", "t_takeover=-2",
+        "red_fraction=-0.1", "red_fraction=1",
         "static-t_takeover", "static-attack_size", "none-t_takeover", "none-attack_size",
     ],
 )
@@ -329,6 +338,19 @@ def test_iterated_adaptive_random_runs():
     )
     assert res.peak_capacity_used == res.capacity
     assert res.attacks_completed > 0
+
+
+@pytest.mark.parametrize("seed", CONTROL_SEEDS)
+@pytest.mark.parametrize(
+    ("t_takeover", "edge"), [(9, True), (10, False)], ids=["below-lease", "at-lease"]
+)
+def test_takeover_control_edge_below_lease_only(t_takeover, edge, seed):
+    # Criterion 10's control. One lease step below the lease, greedy lands
+    # some attacks before their targets re-draw, and beats random. At the
+    # lease every target and release re-draws between launch and landing,
+    # so targeting buys nothing.
+    greedy, random, pvalue = takeover_edge(t_takeover, seed)
+    assert (pvalue <= 0.01) if edge else (pvalue > 0.05), (greedy, random, pvalue)
 
 
 def test_iterated_reproducible():

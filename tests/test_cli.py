@@ -490,6 +490,8 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
     [
         ("strategy = adaptive-greedy\nt_takeover = 10\nattack_size = 0\n", "attack_size"),
         ("strategy = adaptive-greedy\nt_takeover = 10\nattack_size = -3\n", "attack_size"),
+        ("strategy = adaptive-greedy\nt_takeover = 0\n", "t_takeover"),
+        ("strategy = adaptive-greedy\nt_takeover = -2\n", "t_takeover"),
         ("red_fraction = -0.1\n", "red_fraction"),
         ("red_fraction = 1.0\n", "red_fraction"),
         ("n = 0\n", "must be positive"),
@@ -499,7 +501,8 @@ def test_bins_mc_adaptive_needs_takeover(tmp_path):
         ("seed = -1\n", "seed must be non-negative"),
     ],
     ids=[
-        "attack_size=0", "attack_size=-3", "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0",
+        "attack_size=0", "attack_size=-3", "t_takeover=0", "t_takeover=-2",
+        "red_fraction=-0.1", "red_fraction=1", "n=0", "m=0",
         "static-takeover-keys", "none-attack_size", "seed=-1",
     ],
 )

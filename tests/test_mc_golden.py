@@ -136,9 +136,9 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
                              t_takeover, attack_size, capture_rounds, stats_every):
     """Reference: the adaptive process with one re-draw call per round.
 
-    After the re-draw, each round checks failure, lands due attacks and
-    checks again, plans and launches, then captures and takes stats, in
-    ``mc_iterated_lazy``'s order.
+    After the re-draw, each round lands due attacks, checks failure once on
+    the state it ends with, plans and launches, then captures and takes
+    stats, in ``mc_iterated_lazy``'s order.
     """
     n_red = int(red_fraction * n)
     rng, red, groups, bins = _first_throw(n, m, t_lease, seed, n_red)
@@ -147,19 +147,14 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
     state = AdversaryState(red, bins, m, t_takeover)
     failures, captures, ratio_sum, ratio_count = [], {}, 0.0, 0
 
-    def fails():
-        reds, totals = np.array(state.red_counts), np.array(state.totals)
-        return bool(((3 * reds >= totals) & (reds > 0)).any())
-
     for r in range(1, rounds + 1):
         movers = groups[r % t_lease]
         if r > 1 and movers.size:
             bins[movers] = rng.integers(0, m, movers.size)
             state.recount()
-        failed = fails()
-        if state.complete_due(r):
-            failed = fails() or failed
-        if failed:
+        state.complete_due(r)
+        reds, totals = np.array(state.red_counts), np.array(state.totals)
+        if ((3 * reds >= totals) & (reds > 0)).any():
             failures.append(r)
         plan = plan_attack(strategy, state, attack_size, rng)
         if plan is not None:
@@ -180,7 +175,7 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
     n=st.integers(1, 60),
     m=st.integers(1, 9),
     t_lease=st.integers(1, 12),
-    extra_takeover=st.integers(0, 6),
+    t_takeover=st.integers(1, 18),
     rounds=st.integers(1, 120),
     strategy=st.sampled_from(["adaptive-greedy", "adaptive-random"]),
     seed=st.integers(0, 2**16),
@@ -189,10 +184,9 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
     capture_rounds=st.sets(st.integers(0, 125), max_size=5),
     stats_every=st.integers(0, 6),
 )
-def test_adaptive_cycles_match_round_by_round(extra_takeover, **kwargs):
-    # Leases longer than n leave slot groups empty, and most runs end
-    # part-way through a lease cycle.
-    kwargs["t_takeover"] = kwargs["t_lease"] + extra_takeover
+def test_adaptive_cycles_match_round_by_round(**kwargs):
+    # Leases longer than n leave slot groups empty, most runs end part-way
+    # through a lease cycle, and attacks land below, at and above the lease.
     res = mc_iterated_lazy(**kwargs)
     failures, captures, mean_ratio, launched, completed = _adaptive_round_by_round(**kwargs)
     assert res.failure_rounds == failures
