@@ -4,7 +4,7 @@ Balls are nodes: blue is honest, red is adversary-controlled. The
 adversary's budget is the number of reds it is seeded with. To start an
 attack it must retire control of as many balls as it targets; the
 retired balls keep their color until the attack lands. An attack takes
-exactly ``t_takeover`` rounds, cannot be aborted, and on completion the
+exactly ``t_takeover >= 1`` rounds, cannot be aborted, and on completion the
 targets turn red while the retired balls turn blue. ``launch`` trades
 one-for-one, so the red count never leaves the budget.
 """
@@ -37,8 +37,8 @@ class AdversaryState:
     under attack) and ``free_red`` (red, not released) change only on
     ``launch`` and ``complete_due``: a blue ball that is not free is under
     attack, and a red ball that is not free is released. ``red_counts``
-    and ``totals`` hold the per-bin counts as ints; the caller calls
-    ``recount`` after re-drawing bins in place.
+    and ``totals`` hold the per-bin counts as ints; only ``recount``,
+    called once bins and colors have moved for a round, writes them.
     """
 
     red: np.ndarray
@@ -51,23 +51,23 @@ class AdversaryState:
     n_free_red: int = field(init=False)
     red_counts: list[int] = field(init=False)
     totals: list[int] = field(init=False)
-    _shift: np.ndarray = field(init=False, repr=False)
     launched: int = field(init=False, default=0)
     completed: int = field(init=False, default=0)
     _due: dict[int, list[Attack]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if self.t_takeover < 1:
+            raise ValueError("t_takeover must be at least 1")
         self.free_blue = ~self.red
         self.free_red = self.red.copy()
         self.n_free_red = int(np.count_nonzero(self.red))
         self.n_free_blue = self.red.size - self.n_free_red
-        self._shift = self.red * self.m  # red balls count in cells m..2m-1
         self.recount()
 
     def recount(self) -> None:
-        """Re-count every bin after ``bins`` moved."""
+        """Count the balls and the red balls in each bin; reds go in cells m..2m-1."""
         m = self.m
-        cells = np.bincount(self.bins + self._shift, minlength=2 * m).tolist()
+        cells = np.bincount(self.bins + m * self.red, minlength=2 * m).tolist()
         self.red_counts = cells[m:]
         self.totals = [b + r for b, r in zip(cells[:m], self.red_counts)]
 
@@ -108,13 +108,6 @@ class AdversaryState:
             self.n_free_blue += k
             self.n_free_red += k
             self.completed += 1
-            # The bins did not move: only the swapped balls' bins change color.
-            self._shift[targets] = self.m
-            self._shift[releases] = 0
-            for b in self.bins[targets].tolist():
-                self.red_counts[b] += 1
-            for b in self.bins[releases].tolist():
-                self.red_counts[b] -= 1
         return done
 
 

@@ -226,14 +226,14 @@ def mc_iterated_lazy(
     to the adaptive strategies; under ``none`` or ``static`` either one is
     an error.
 
-    Adaptive strategies step round by round on per-bin counts that the
-    ``AdversaryState`` keeps. ``adaptive-greedy`` draws nothing to plan, so
-    one ``rng.integers`` call draws a lease cycle's re-draws and each round
-    takes its slice in slot-group order; ``adaptive-random`` draws its
-    attacks between re-draws, so it calls once per round. Under ``none`` and
-    ``static`` the colors never change, so rounds run in blocks (see
-    ``_static_blocks``). Bounded draws concatenate, so every path replays
-    the stream of one re-draw call per round.
+    Adaptive strategies step round by round, and ``AdversaryState`` counts
+    the bins after each round's landings. ``adaptive-greedy`` draws nothing
+    to plan, so one ``rng.integers`` call draws a lease cycle's re-draws and
+    each round takes its slice in slot-group order; ``adaptive-random``
+    draws its attacks between re-draws, so it calls once per round. Under
+    ``none`` and ``static`` the colors never change, so rounds run in blocks
+    (see ``_static_blocks``). Bounded draws concatenate, so every path
+    replays the stream of one re-draw call per round.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -241,8 +241,6 @@ def mc_iterated_lazy(
     if adaptive:
         if t_takeover is None:
             raise ValueError("adaptive strategies need t_takeover")
-        if t_takeover < 1:
-            raise ValueError("t_takeover must be at least 1")
     elif t_takeover is not None or attack_size is not None:
         raise ValueError("t_takeover and attack_size apply to adaptive strategies only")
     if n < 1 or m < 1 or t_lease < 1 or rounds < 1:
@@ -271,9 +269,9 @@ def mc_iterated_lazy(
     ratio_count = 0
 
     if adaptive:
+        state = AdversaryState(red, bins, m, t_takeover)  # rejects t_takeover < 1
         if attack_size is None:
             attack_size = max(1, n_red // (2 * t_takeover))
-        state = AdversaryState(red, bins, m, t_takeover)
         # Rounds of re-draws per rng call (only greedy planning draws nothing).
         cycle = t_lease if strategy == "adaptive-greedy" else 1
         sizes = [g.size for g in groups]
@@ -284,11 +282,10 @@ def mc_iterated_lazy(
                     draws = rng.integers(0, m, sum(sizes[s % t_lease] for s in ahead))
                     used = 0
                 movers = groups[r % t_lease]
-                if movers.size:
-                    bins[movers] = draws[used : used + movers.size]
-                    used += movers.size
-                    state.recount()
+                bins[movers] = draws[used : used + movers.size]
+                used += movers.size
             state.complete_due(r)
+            state.recount()
             if any(map(committee_fails, state.red_counts, state.totals)):
                 result.failure_rounds.append(r)
             plan = plan_attack(strategy, state, attack_size, rng)

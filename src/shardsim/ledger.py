@@ -15,10 +15,10 @@ id, so no per-transaction step hashes or compares a ``PublicKey`` object. A
 transaction is its id: it is equal and hashed by ``tx_id``, so a set or a
 block holds one version per id. Its total is fixed at construction.
 
-Admission checks the unseen id, then the budget, then the signature. A
-transaction carries the scheme that accepts it, from construction if that
-scheme signed it with the sender's registered secret, else from admission:
-later passes on that scheme skip the check, so each is made once per scheme.
+Admission checks the unseen id, then the budget, then the signature. It
+skips the signature of a transaction that ``build_transaction`` marked with
+the context's scheme, checks every other one on every pass, and writes
+nothing to the transactions it reads.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Transaction:
     unsigned integers.
 
     ``total_amount`` is computed once, at construction. ``signed_for`` is the
-    scheme that accepts ``sig``: ``build_transaction`` sets it when the
-    scheme holds the sender's secret, admission otherwise. Equality and the
+    scheme that accepts ``sig``, set only by ``build_transaction``, when the
+    scheme holds the sender's secret; otherwise it is None. Equality and the
     hash cover ``tx_id`` alone: two versions of one id are equal, and a set
     keeps the first it is given.
     """
@@ -192,12 +192,12 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
     The mint key is exempt from the budget check. A failing check changes
     no state, so the signature, the dearest, is checked last.
 
-    The scheme S that accepts a signature is kept on the transaction T, and
-    later passes trust it; ``build_transaction`` keeps S already when S holds
-    the secret that signed T, as ``verify`` would recompute that signature.
-    That is exact: T is frozen, and a scheme never changes or drops a
-    registered key's secret, so S accepting T stays true. Rejections are not
-    kept; other schemes and copies check afresh.
+    A transaction T marked by ``build_transaction`` with the context's
+    scheme S skips the check, as S holds the secret that signed T and
+    ``verify`` would recompute that signature. That is exact: T is frozen,
+    and a scheme never changes or drops a registered key's secret, so S
+    accepting T stays true. Every other transaction is checked on each
+    pass, and nothing is written to ``txs``.
     """
     seen, scheme, mint_id, balances = ctx.seen_tx_ids, ctx.scheme, ctx.mint.id, ctx.balances
     spend: dict[str, int] = {}
@@ -213,7 +213,6 @@ def _admit(txs: Iterable[Transaction], ctx: LedgerContext) -> list[Transaction]:
         if tx.signed_for is not scheme:
             if not scheme.verify(tx.sender, tx.signing_bytes(), tx.sig):
                 continue
-            object.__setattr__(tx, "signed_for", scheme)
         spend[sender] = after
         kept.append(tx)
         kept_ids.add(tx.tx_id)

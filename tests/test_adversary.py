@@ -33,6 +33,13 @@ def test_launch_and_complete_swap_colors():
     assert state.completed == 1
 
 
+@pytest.mark.parametrize("t_takeover", [0, -2])
+def test_takeover_below_one_rejected(t_takeover):
+    # Such an attack would be due at a round already passed and never land.
+    with pytest.raises(ValueError, match="t_takeover"):
+        _state(t_takeover=t_takeover)
+
+
 def test_red_population_conserved_by_completion():
     state = _state()
     before = int(state.red.sum())
@@ -202,8 +209,9 @@ def _check_against_model(state, model, bins, m):
 @given(st.data())
 def test_maintained_state_matches_recomputation(data):
     """Random launches (valid, planned and rejected), completions and moves
-    leave the colors, free masks, their sizes and the per-bin counts equal
-    to those of a model that tracks each ball's status."""
+    leave the colors, free masks, their sizes and the per-bin counts (taken
+    after each round's landings) equal to those of a model that tracks each
+    ball's status."""
     n = data.draw(st.integers(2, 24), label="n")
     m = data.draw(st.integers(1, 5), label="m")
     n_red = data.draw(st.integers(0, n), label="n_red")
@@ -221,8 +229,8 @@ def test_maintained_state_matches_recomputation(data):
         movers = data.draw(st.lists(ball, unique=True, max_size=n), label="movers")
         if movers:
             bins[movers] = rng.integers(0, m, len(movers))
-            state.recount()
         state.complete_due(r)
+        state.recount()
         model.complete(r)
         _check_against_model(state, model, bins, m)
         for _ in range(data.draw(st.integers(0, 3), label="launches")):
@@ -266,6 +274,7 @@ def test_maintained_state_matches_recomputation(data):
             _check_against_model(state, model, bins, m)
     for r in range(r + 1, r + 6):
         state.complete_due(r)
+        state.recount()
         model.complete(r)
     _check_against_model(state, model, bins, m)
     assert state.completed == state.launched

@@ -671,7 +671,7 @@ def test_greedy_keeps_the_first_admissible_version_of_a_tx_id(scheme, mint):
     assert sorted(map(tx_content, block)) == [tx_content(valid), tx_content(later)]
 
 
-# -- one signature check per scheme -------------------------------------------
+# -- signature checks and marks -----------------------------------------------
 
 
 def test_each_signature_checked_once_per_scheme(scheme, mint, verify_checks):
@@ -725,9 +725,32 @@ def test_verdict_belongs_to_the_accepting_scheme(scheme, mint, verify_checks):
     # A scheme that registered the same id derives the same secret.
     twin = SignatureScheme()
     twin.keygen(kp.pk.id)
-    assert verify(Block.of([tx]), funded_context(twin, twin.keygen("mint"), [kp], 10))
-    assert [checker for checker, _, _ in verify_checks] == [stranger, twin]
-    assert tx.signed_for is twin
+    twin_ctx = funded_context(twin, twin.keygen("mint"), [kp], 10)
+    assert verify(Block.of([tx]), twin_ctx)
+    assert tx.signed_for is scheme
+    # The twin's acceptance is not kept: a second verify checks again.
+    assert verify(Block.of([tx]), twin_ctx)
+    assert [checker for checker, _, _ in verify_checks] == [stranger, twin, twin]
+
+
+def test_admission_leaves_every_mark_as_it_was(scheme, mint):
+    # verify and greedy read signed_for and never write it: a copy and a
+    # forgery stay unmarked, and a twin's acceptance leaves the builder's mark.
+    kp = scheme.keygen("s")
+    twin = SignatureScheme()
+    twin.keygen(kp.pk.id)
+    built = build_transaction(scheme, kp, [(mint.pk, 1)], "b")
+    copy = dataclasses.replace(build_transaction(scheme, kp, [(mint.pk, 2)], "c"))
+    forged = Transaction("f", kp.pk, (TxOutput(mint.pk, 3),), b"\x00" * 32)
+    txs = [built, copy, forged]
+    for ctx in (
+        funded_context(scheme, mint, [kp], 10),
+        funded_context(twin, twin.keygen("mint"), [kp], 10),
+    ):
+        assert verify(Block.of([built, copy]), ctx)
+        assert not verify(Block.of(txs), ctx)
+        assert greedy_admissible_block(txs, ctx) == Block.of([built, copy])
+        assert [tx.signed_for for tx in txs] == [scheme, None, None]
 
 
 def test_a_built_transaction_is_marked_iff_its_scheme_verifies_it(scheme, mint):

@@ -136,9 +136,9 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
                              t_takeover, attack_size, capture_rounds, stats_every):
     """Reference: the adaptive process with one re-draw call per round.
 
-    After the re-draw, each round lands due attacks, checks failure once on
-    the state it ends with, plans and launches, then captures and takes
-    stats, in ``mc_iterated_lazy``'s order.
+    After the re-draw, each round lands due attacks, recounts the bins,
+    checks failure once on the state it ends with, plans and launches, then
+    captures and takes stats, in ``mc_iterated_lazy``'s order.
     """
     n_red = int(red_fraction * n)
     rng, red, groups, bins = _first_throw(n, m, t_lease, seed, n_red)
@@ -151,8 +151,8 @@ def _adaptive_round_by_round(n, m, t_lease, rounds, strategy, seed, red_fraction
         movers = groups[r % t_lease]
         if r > 1 and movers.size:
             bins[movers] = rng.integers(0, m, movers.size)
-            state.recount()
         state.complete_due(r)
+        state.recount()
         reds, totals = np.array(state.red_counts), np.array(state.totals)
         if ((3 * reds >= totals) & (reds > 0)).any():
             failures.append(r)

@@ -5,11 +5,14 @@ A mutant is applied in-process with ``monkeypatch`` (a replaced function or
 constant), so it lasts for one test and touches no source file.
 """
 
+import json
+
 import pytest
 
 from shardsim.adversary import AdversaryState
 
 from binslib import CONTROL_SEEDS, takeover_edge
+from test_mc_golden import CONFIGS, GOLDEN, _key, record
 
 
 @pytest.mark.parametrize("seed", CONTROL_SEEDS)
@@ -24,3 +27,22 @@ def test_early_landing_shows_an_edge_at_the_lease(monkeypatch, seed):
     )
     greedy, random, pvalue = takeover_edge(10, seed)
     assert pvalue <= 0.01, (greedy, random, pvalue)
+
+
+def test_counts_before_landings_move_an_adaptive_golden_entry(monkeypatch):
+    # Counts taken as a round's landings begin, not after them, miss each
+    # landing's color swap until the next count; the cheapest adaptive
+    # golden entry must move.
+    complete_due, recount = AdversaryState.complete_due, AdversaryState.recount
+
+    def count_first(self, round):
+        recount(self)
+        return complete_due(self, round)
+
+    monkeypatch.setattr(AdversaryState, "complete_due", count_first)
+    monkeypatch.setattr(AdversaryState, "recount", lambda self: None)
+    kwargs = min(
+        (c for c in CONFIGS if c["strategy"].startswith("adaptive")),
+        key=lambda c: c["n"] * c["rounds"],
+    )
+    assert record(kwargs) != json.loads(GOLDEN.read_text())[_key(kwargs)]
