@@ -8,7 +8,7 @@ domain tag so the two families can never collide.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 
 # Width of the digest prefix that ``unit_hash`` reads.
 UNIT_BITS = 64
@@ -16,7 +16,7 @@ UNIT_BITS = 64
 
 def oracle_hash(*parts: bytes) -> bytes:
     """SHA-256 over the raw concatenation of ``parts``."""
-    return hashlib.sha256(b"".join(parts)).digest()
+    return sha256(b"".join(parts)).digest()
 
 
 def be8(value: int) -> bytes:

@@ -26,7 +26,7 @@ class KeyError_(Exception):
     """Registration conflict in the key table."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """Opaque identity plus its point on the key line.
 
@@ -45,7 +45,7 @@ class PublicKey:
         return cls(key_id, position_of(key_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     pk: PublicKey
     sk: bytes
@@ -58,7 +58,7 @@ def position_of(key_id: str) -> int:
 
 def sign_bytes(sk: bytes, message: bytes) -> bytes:
     """Deterministic unique signature: one valid signature per (key, message)."""
-    return oracle_hash(_SIG_TAG + sk + message)
+    return oracle_hash(_SIG_TAG, sk, message)
 
 
 class SignatureScheme:

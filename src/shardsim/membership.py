@@ -63,8 +63,10 @@ class MembershipCertificate:
     sigma: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
+    """A key's public record; ``cert.shard`` was hashed once, from ``cert.sigma``."""
+
     pk: PublicKey
     t_join: int
     t_shuffle: Optional[int]
@@ -192,6 +194,8 @@ class Membership:
         """Public check of a claimed (pk, shard) for round ``r``; never raises.
 
         The record's last proved claim passes again while its seed is kept.
+        A claim of the sigma in force takes its shard from the certificate
+        (``_issue`` drew it from that sigma); its signature is still checked.
         """
         record = self.records.get(pk.id)
         if not self._record_eligible(record, r):
@@ -203,7 +207,9 @@ class Membership:
         claim = (start, sigma, shard)
         if claim == record.verified:
             return True
-        if shard_index(unit_hash(sigma), self.m) != shard:
+        cert = record.cert
+        in_force = cert is not None and cert.sigma == sigma
+        if (cert.shard if in_force else shard_index(unit_hash(sigma), self.m)) != shard:
             return False
         if not self.scheme.verify(pk, seed, sigma):
             return False
@@ -219,7 +225,9 @@ class Membership:
     # -- registration and round transition ----------------------------------
 
     def register_nodes(self, r: int, keys: Iterable[PublicKey]) -> list[NodeRecord]:
-        """Admit new keys at round ``r``; they bench until their slot is drawn."""
+        """Admit new keys now, at round ``r``; they bench until their slot is drawn."""
+        if r != self.round:
+            raise MembershipError(f"register_nodes({r}) called at round {self.round}")
         added = []
         for pk in sorted(keys, key=lambda k: k.id):
             if pk.id in self.records:

@@ -247,6 +247,43 @@ def test_memo_pruned_with_seeds_and_stale_certificates_refused():
         assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, 8)
 
 
+def test_certificate_in_force_is_not_hashed_again(monkeypatch):
+    # _issue drew the shard of the certificate in force from its sigma, so
+    # its first check runs the signature check alone; any other sigma is
+    # hashed to its shard as before.
+    _, kps, mem = _fresh(m=4)
+    drawn, checked = [], []
+    monkeypatch.setattr(
+        "shardsim.membership.unit_hash", lambda data: drawn.append(data) or unit_hash(data)
+    )
+    verify = mem.scheme.verify
+    monkeypatch.setattr(
+        mem.scheme, "verify", lambda *args: checked.append(args) or verify(*args)
+    )
+    cert = mem.records[kps[0].pk.id].cert
+    assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+    assert (len(checked), drawn) == (1, [])
+    forged = bytes([cert.sigma[0] ^ 0x01]) + cert.sigma[1:]
+    assert not mem.verify_member(cert.pk, forged, cert.shard, 1)
+    assert drawn == [forged]
+
+
+def test_sigma_in_force_refused_for_another_epoch():
+    # A key with slot 4 re-draws at round 4 under t_lease 5. Claimed for
+    # round 1, its sigma in force passes the shard check (the draw is read
+    # from the certificate) and eligibility, and round 1's seed is still
+    # kept; only the signature check, against round 1's seed, refuses it.
+    scheme, kps, mem = _fresh(t_lease=5)
+    _advance(mem, 3)
+    kp = next(kp for kp in kps if mem.records[kp.pk.id].t_shuffle == 4)
+    cert = mem.records[kp.pk.id].cert
+    assert cert.sigma == scheme.sign(kp.sk, mem.global_seeds[4])
+    assert mem.epoch_start(4, 4) == 4 and mem.epoch_start(4, 1) == 1
+    assert 1 in mem.global_seeds
+    assert mem.verify_member(cert.pk, cert.sigma, cert.shard, 4)
+    assert not mem.verify_member(cert.pk, cert.sigma, cert.shard, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 5),
@@ -370,10 +407,23 @@ def test_duplicate_registration_rejected():
     scheme, kps, mem = _fresh()
     joiner = scheme.keygen("twice")
     mem.register_nodes(1, [joiner.pk])
-    with pytest.raises(MembershipError):
+    _advance(mem, 1)
+    with pytest.raises(MembershipError, match="already registered"):
         mem.register_nodes(2, [joiner.pk])
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match="already registered"):
         mem.register_nodes(2, [kps[0].pk])
+
+
+@pytest.mark.parametrize("r", [2, 7], ids=["past", "future"])
+def test_registration_only_at_the_current_round(r):
+    # A key registered at a past round would never have its slot drawn
+    # (that needs t_join + t_lease == r + 1 at some later end_of_round).
+    scheme, _, mem = _fresh(t_lease=2)
+    _advance(mem, 5)
+    joiner = scheme.keygen("late")
+    with pytest.raises(MembershipError, match=rf"register_nodes\({r}\) called at round 6"):
+        mem.register_nodes(r, [joiner.pk])
+    assert joiner.pk.id not in mem.records
 
 
 def test_shuffle_slots_uniform_over_lease():

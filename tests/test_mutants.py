@@ -5,14 +5,18 @@ A mutant is applied in-process with ``monkeypatch`` (a replaced function or
 constant), so it lasts for one test and touches no source file.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from shardsim.adversary import AdversaryState
+from shardsim.membership import Membership, golden_vector_text
 
 from binslib import CONTROL_SEEDS, takeover_edge
 from test_mc_golden import CONFIGS, GOLDEN, _key, record
+from test_vectors import FILES
+from vectorlib import load_vector_file
 
 
 @pytest.mark.parametrize("seed", CONTROL_SEEDS)
@@ -46,3 +50,21 @@ def test_counts_before_landings_move_an_adaptive_golden_entry(monkeypatch):
         key=lambda c: c["n"] * c["rounds"],
     )
     assert record(kwargs) != json.loads(GOLDEN.read_text())[_key(kwargs)]
+
+
+def test_issuer_off_by_one_shard_breaks_the_frozen_transcript(monkeypatch):
+    # verify_member reads the draw of the certificate in force instead of
+    # hashing it again, so an issuer that misplaces every key agrees with
+    # the verifier; the frozen transcript (the comparison that
+    # test_vectors.test_transcript_matches_frozen_file makes) must still
+    # see it.
+    issue = Membership._issue
+
+    def next_shard(self, record, sk, seed):
+        cert = issue(self, record, sk, seed)
+        return dataclasses.replace(cert, shard=cert.shard % self.m + 1)
+
+    monkeypatch.setattr(Membership, "_issue", next_shard)
+    vf = load_vector_file(FILES[1])
+    regenerated = golden_vector_text(vf.genesis_seed, vf.key_ids, vf.m, vf.t_lease, vf.rounds)
+    assert regenerated != FILES[1].read_text()
