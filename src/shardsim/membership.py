@@ -71,8 +71,7 @@ class NodeRecord:
     t_join: int
     t_shuffle: Optional[int]
     cert: Optional[MembershipCertificate] = None  # in force; None until first seated
-    # (epoch start, sigma, shard) of the last claim that verify_member proved.
-    verified: Optional[tuple[int, bytes, int]] = None
+    proved: Optional[int] = None  # epoch start at which cert passed verify_member; _seat clears
 
 
 def evolve_shard_seed(
@@ -101,10 +100,10 @@ class Membership:
 
     Single volume of trusted public state, each fact kept once: a key's
     record (keyed by key id, kept in id order) holds its certificate in
-    force and its last proved claim; the seed chain is the current round,
-    its shard seeds and the last t_lease global seeds. ``by_shard`` (each
-    shard's certificates in key-id order) is rebuilt from the records in
-    one pass whenever certificates change.
+    force and where that was proved; the seed chain is the current round,
+    its shard seeds and the last t_lease global seeds. ``_seat``, the one
+    writer of certificates, rebuilds ``by_shard`` (each shard's
+    certificates in key-id order) from the records in the same pass.
     """
 
     def __init__(self, m: int, t_lease: int, scheme: SignatureScheme) -> None:
@@ -128,17 +127,14 @@ class Membership:
         t_lease: int,
         scheme: SignatureScheme,
     ) -> "Membership":
-        """Round-1 state: genesis seeds, genesis records, every initial certificate."""
+        """Round-1 state: genesis seeds and records, then ``_seat`` at round 1."""
         mem = cls(m, t_lease, scheme)
         seed = mem._enter(1, (oracle_hash(genesis_seed, be8(i)) for i in range(1, m + 1)))
         for pk in sorted(keys, key=lambda k: k.id):
             if pk.id in mem.records:
                 raise MembershipError(f"duplicate genesis key {pk.id!r}")
             mem.records[pk.id] = NodeRecord(pk, 0, shuffle_slot(pk, seed, t_lease))
-        # Every genesis epoch at round 1 starts at round 1.
-        for key_id, record in mem.records.items():
-            record.cert = mem._issue(record, mem.scheme.keypair(key_id).sk, seed)
-            mem.by_shard[record.cert.shard - 1].append(record.cert)
+        mem._seat(1, seed)
         return mem
 
     def _enter(self, r: int, shard_seeds: Iterable[bytes]) -> bytes:
@@ -193,9 +189,9 @@ class Membership:
     def verify_member(self, pk: PublicKey, sigma: bytes, shard: int, r: int) -> bool:
         """Public check of a claimed (pk, shard) for round ``r``; never raises.
 
-        The record's last proved claim passes again while its seed is kept.
-        A claim of the sigma in force takes its shard from the certificate
-        (``_issue`` drew it from that sigma); its signature is still checked.
+        The certificate in force has its shard read from it (``_issue`` drew
+        it from that sigma) and its signature checked once per epoch start,
+        kept in ``record.proved``. Any other sigma is hashed and checked.
         """
         record = self.records.get(pk.id)
         if not self._record_eligible(record, r):
@@ -204,17 +200,15 @@ class Membership:
         seed = self.global_seeds.get(start)
         if seed is None:
             return False
-        claim = (start, sigma, shard)
-        if claim == record.verified:
-            return True
-        cert = record.cert
-        in_force = cert is not None and cert.sigma == sigma
-        if (cert.shard if in_force else shard_index(unit_hash(sigma), self.m)) != shard:
+        cert = record.cert  # seated: a kept seed is never past its first eligible round
+        if sigma != cert.sigma:
+            drawn = shard_index(unit_hash(sigma), self.m)
+            return drawn == shard and self.scheme.verify(pk, seed, sigma)
+        if shard != cert.shard:
             return False
-        if not self.scheme.verify(pk, seed, sigma):
-            return False
-        record.verified = claim
-        return True
+        if record.proved != start and self.scheme.verify(pk, seed, sigma):
+            record.proved = start
+        return record.proved == start
 
     def _seed_at(self, r: int) -> bytes:
         seed = self.global_seeds.get(r)
@@ -259,20 +253,29 @@ class Membership:
                 for shard_seed, leader in zip(self.shard_seeds, leaders)
             ),
         )
-        redrawn: set[str] = set()
+        return seed, self._seat(r + 1, seed)
+
+    def _seat(self, r: int, seed: bytes) -> set[str]:
+        """Seat, over ``seed``, every key whose epoch starts at ``r``; returns their ids.
+
+        The one writer of certificates: at round 1 every genesis key, later
+        each key whose slot comes up, its proof cleared. The same key-id
+        pass draws the slots of joiners and rebuilds ``by_shard``.
+        """
+        seated: set[str] = set()
         by_shard: list[list[MembershipCertificate]] = [[] for _ in range(self.m)]
-        # A key whose slot comes up at r+1 starts its epoch there, at ``seed``.
-        slot = (r + 1) % self.t_lease
+        slot = r % self.t_lease
         for key_id, record in self.records.items():
-            if record.t_shuffle is None and record.t_join + self.t_lease == r + 1:
+            if record.t_shuffle is None and record.t_join + self.t_lease == r:
                 record.t_shuffle = shuffle_slot(record.pk, seed, self.t_lease)
-            if record.t_shuffle == slot and self._record_eligible(record, r + 1):
+            if (record.t_shuffle == slot or r == 1) and self._record_eligible(record, r):
                 record.cert = self._issue(record, self.scheme.keypair(key_id).sk, seed)
-                redrawn.add(key_id)
+                record.proved = None
+                seated.add(key_id)
             if record.cert is not None:
                 by_shard[record.cert.shard - 1].append(record.cert)
         self.by_shard = by_shard
-        return seed, redrawn
+        return seated
 
 
 def golden_vector_text(
