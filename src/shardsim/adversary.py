@@ -1,6 +1,7 @@
 """Adaptive-corruption bookkeeping for the balls-into-bins analyses.
 
-Balls are nodes: blue is honest, red is adversary-controlled. The
+Balls are nodes: blue is honest, red is adversary-controlled. ``draw_red``
+seeds the reds, and the simulator's Byzantine set, by one rule; the
 adversary's budget is the number of reds it is seeded with. To start an
 attack it must retire control of as many balls as it targets; the
 retired balls keep their color until the attack lands. An attack takes
@@ -14,6 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def draw_red(rng: np.random.Generator, n: int, fraction: float) -> np.ndarray:
+    """The red-set rule: ``int(fraction * n)`` distinct balls, uniform; none draws nothing."""
+    red = np.zeros(n, dtype=bool)
+    if n_red := int(fraction * n):
+        red[rng.choice(n, size=n_red, replace=False)] = True
+    return red
 
 
 class AttackError(Exception):

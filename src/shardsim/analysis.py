@@ -26,14 +26,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .adversary import AdversaryState, plan_attack
+from .adversary import AdversaryState, draw_red, plan_attack
+from .crypto import stream
 from .membership import committee_fails
 
 # One round a minute for a million years.
 ROUNDS_PER_MILLION_YEARS = 5.26e11
-
-_STATIC_STREAM = 10
-_ITERATED_STREAM = 11
 
 STRATEGIES = ("none", "static", "adaptive-greedy", "adaptive-random")
 
@@ -145,15 +143,12 @@ def mc_static_failure_rate(
         raise ValueError("n, m and trials must be positive")
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STATIC_STREAM]))
+    rng = stream(seed, "static")
     n_red = int(red_fraction * n)
     n_blue = n - n_red
     pvals = np.full(m, 1.0 / m)
     failures = 0
-    ratio_sum = 0.0
-    ratio_count = 0
+    ratios = np.zeros(2)  # running sums of _ratio_terms
     batch = _STATIC_CHUNK * 8 // max(m, 8)
     done = 0
     while done < trials:
@@ -162,9 +157,7 @@ def mc_static_failure_rate(
         blues = rng.multinomial(n_blue, pvals, size=size)
         totals = reds + blues
         failures += int(committee_fails(reds, totals).any(axis=1).sum())
-        terms = _ratio_terms(reds, totals)
-        ratio_sum += terms[0]
-        ratio_count += terms[1]
+        ratios += _ratio_terms(reds, totals)
         done += size
     rate = failures / trials
     low, high = wilson_interval(failures, trials)
@@ -177,7 +170,7 @@ def mc_static_failure_rate(
         low,
         high,
         analytic_failure_bound(n, m),
-        ratio_sum / ratio_count if ratio_count else 0.0,
+        float(ratios[0] / ratios[1]) if ratios[1] else 0.0,
     )
 
 
@@ -251,22 +244,17 @@ def mc_iterated_lazy(
         raise ValueError("attack_size must be at least 1")
     if not 0.0 <= red_fraction < 1.0:
         raise ValueError("red_fraction must lie in [0, 1)")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _ITERATED_STREAM]))
-    n_red = 0 if strategy == "none" else int(red_fraction * n)
-    red = np.zeros(n, dtype=bool)
-    if n_red:
-        red[rng.choice(n, size=n_red, replace=False)] = True
+    rng = stream(seed, "iterated")
+    red = draw_red(rng, n, 0.0 if strategy == "none" else red_fraction)
+    n_red = int(np.count_nonzero(red))
     slots = rng.integers(0, t_lease, n)
     groups = [np.flatnonzero(slots == s) for s in range(t_lease)]
     bins = rng.integers(0, m, n)
 
     result = IteratedBinsResult(n, m, t_lease, rounds, strategy, capacity=n_red)
     wanted = set(capture_rounds)
-    ratio_sum = 0.0
-    ratio_count = 0
+    ratios = np.zeros(2)  # running sums of _ratio_terms
 
     if adaptive:
         state = AdversaryState(red, bins, m, t_takeover)  # rejects t_takeover < 1
@@ -294,9 +282,7 @@ def mc_iterated_lazy(
             if r in wanted:
                 result.captures[r] = bins.copy()
             if stats_every and r % stats_every == 0:
-                terms = _ratio_terms(np.array(state.red_counts), np.array(state.totals))
-                ratio_sum += terms[0]
-                ratio_count += terms[1]
+                ratios += _ratio_terms(np.array(state.red_counts), np.array(state.totals))
         result.attacks_launched = state.launched
         result.attacks_completed = state.completed
     else:
@@ -309,11 +295,9 @@ def mc_iterated_lazy(
                 result.captures[last] = bins.copy()
             if stats_every:
                 for i in range(-r0 % stats_every, len(totals), stats_every):
-                    terms = _ratio_terms(red_counts[i], totals[i])
-                    ratio_sum += terms[0]
-                    ratio_count += terms[1]
+                    ratios += _ratio_terms(red_counts[i], totals[i])
 
-    result.mean_red_ratio = ratio_sum / ratio_count if ratio_count else 0.0
+    result.mean_red_ratio = float(ratios[0] / ratios[1]) if ratios[1] else 0.0
     result.peak_capacity_used = int(np.count_nonzero(red))
     return result
 

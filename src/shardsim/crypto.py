@@ -1,14 +1,20 @@
-"""Hash primitives shared by every other module.
+"""Hash primitives and seeded streams shared by every other module.
 
 SHA-256 plays the random oracle H. Protocol-level derivations (seed
 evolution, shuffle slots, hash points) concatenate their inputs raw;
 artifact-internal derivations (secret keys, key positions) prepend a
 domain tag so the two families can never collide.
+
+Every seeded draw comes from ``stream``: a PCG64 generator over the seed
+and the purpose's label in ``STREAMS``. PCG64 is named because NEP 19 lets
+NumPy change the bit generator that ``np.random`` picks by default.
 """
 
 from __future__ import annotations
 
 from hashlib import sha256
+
+import numpy as np
 
 # Width of the digest prefix that ``unit_hash`` reads.
 UNIT_BITS = 64
@@ -36,3 +42,15 @@ def unit_hash(data: bytes) -> int:
 def hash_mod(data: bytes, modulus: int) -> int:
     """Full digest taken as an unsigned integer, reduced mod ``modulus``."""
     return int.from_bytes(oracle_hash(data), "big") % modulus
+
+
+# The label of each purpose's stream; a label is part of every output.
+STREAMS = {"workload": 1, "adversary": 2, "monitor": 3, "static": 10, "iterated": 11}
+
+
+def stream(seed: int, purpose: str, *more: int) -> np.random.Generator:
+    """The generator for ``purpose`` under ``seed``, keyed further by ``more``."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    seq = np.random.SeedSequence([seed, STREAMS[purpose], *more])
+    return np.random.Generator(np.random.PCG64(seq))

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .crypto import oracle_hash
+from .adversary import draw_red
+from .crypto import oracle_hash, stream
 from .keys import KeyPair, PublicKey, SignatureScheme
 from .ledger import (
     Block,
@@ -43,9 +44,6 @@ from .sync import eager_collect_support, lazy_collect_support
 from .workload import genesis_block, round_transactions
 
 DEFAULT_GENESIS_SEED = oracle_hash(b"shardsim/default-genesis")
-
-_ADVERSARY_STREAM = 2
-_MONITOR_STREAM = 3
 
 SYNC_VARIANTS = ("eager", "lazy")
 NEGATIVE_MODES = ("none", "conflict-partition", "broken-sync")
@@ -178,15 +176,9 @@ class Simulation:
         self.spec = PartitionSpec(cfg.m)
         self.route = self._make_router()
 
-        adv_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _ADVERSARY_STREAM])
-        )
-        n_red = int(cfg.byzantine_fraction * cfg.n)
-        red_idx = adv_rng.choice(cfg.n, size=n_red, replace=False) if n_red else []
-        self.red: set[str] = {self.clients[int(i)].pk.id for i in red_idx}
-        self._monitor_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _MONITOR_STREAM])
-        )
+        red = draw_red(stream(cfg.seed, "adversary"), cfg.n, cfg.byzantine_fraction)
+        self.red: set[str] = {self.clients[i].pk.id for i in np.flatnonzero(red).tolist()}
+        self._monitor_rng = stream(cfg.seed, "monitor")
 
         self.membership = Membership.init(
             cfg.m,

@@ -12,12 +12,9 @@ Zero-padded tx_ids make lexicographic order equal generation order for up to
 
 from __future__ import annotations
 
-import numpy as np
-
+from .crypto import stream
 from .keys import KeyPair, SignatureScheme
 from .ledger import Block, Transaction, build_transaction
-
-_WORKLOAD_STREAM = 1
 
 
 def genesis_block(
@@ -41,7 +38,7 @@ def round_transactions(
     round: int,
 ) -> list[Transaction]:
     """Pending transactions arriving in ``round``: uniform single-output payments."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _WORKLOAD_STREAM, round]))
+    rng = stream(seed, "workload", round)
     n = len(clients)
     senders = rng.integers(0, n, tx_rate)
     # Uniform over the other n-1 keys; offset trick avoids resampling loops.

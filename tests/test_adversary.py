@@ -1,16 +1,45 @@
-"""Attack bookkeeping: a budget of seeded reds, one-for-one trades, exact completion."""
+"""The red-set rule, and attack bookkeeping: a budget of seeded reds,
+one-for-one trades, exact completion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardsim.adversary import AdversaryState, AttackError, plan_attack
+from shardsim.adversary import AdversaryState, AttackError, draw_red, plan_attack
+from shardsim.analysis import mc_iterated_lazy
+from shardsim.crypto import stream
+from shardsim.simulation import RunConfig, Simulation
 
 
 def _state(n=20, t_takeover=3, reds=(0, 1, 2, 3, 4), bins=None, m=1):
     red = np.zeros(n, dtype=bool)
     red[list(reds)] = True
     return AdversaryState(red, np.zeros(n, dtype=int) if bins is None else bins, m, t_takeover)
+
+
+@pytest.mark.parametrize(
+    ("n", "fraction", "reds"),
+    [(100, 0.29, 28), (400, 0.25, 100), (7, 0.5, 3), (40, 0.99, 39), (3, 0.3, 0), (9, 0.0, 0)],
+)
+def test_draw_red_takes_the_truncated_share(n, fraction, reds):
+    # int(0.29 * 100) is 28: the share truncates, in floating point.
+    red = draw_red(stream(5, "adversary"), n, fraction)
+    assert red.dtype == bool and red.shape == (n,)
+    assert int(red.sum()) == reds
+
+
+def test_draw_red_of_no_reds_draws_nothing():
+    rng = stream(3, "iterated")
+    assert not draw_red(rng, 9, 0.1).any()
+    assert rng.random(4).tolist() == stream(3, "iterated").random(4).tolist()
+
+
+@pytest.mark.parametrize(("n", "fraction"), [(40, 0.25), (100, 0.29), (7, 0.3), (12, 0.0)])
+def test_protocol_and_bins_seed_as_many_reds(n, fraction):
+    # The simulator's Byzantine set and the bins' budget follow one rule.
+    sim = Simulation(RunConfig(n=n, byzantine_fraction=fraction, rounds=0))
+    bins = mc_iterated_lazy(n, 2, 1, 1, red_fraction=fraction)
+    assert len(sim.red) == bins.capacity == int(fraction * n)
 
 
 def test_launch_and_complete_swap_colors():

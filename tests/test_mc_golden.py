@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from shardsim import analysis
 from shardsim.adversary import AdversaryState, plan_attack
 from shardsim.analysis import mc_iterated_lazy
+from shardsim.crypto import stream
 
 GOLDEN = Path(__file__).parent / "data" / "mc_iterated_golden.json"
 
@@ -230,9 +231,7 @@ def test_bounded_draws_concatenate(m):
     # sequence of calls whose sizes sum to total, so a block of rounds can
     # draw all its re-throws at once without moving the stream.
     sizes = [1, 7, 0, 13, 200, 3, 1001, 5, 64, 2]
-    seq = np.random.SeedSequence([m, 11])
-    chunked = np.random.default_rng(seq)
-    batched = np.random.default_rng(seq)
+    chunked, batched = stream(m, "iterated"), stream(m, "iterated")
     parts = [chunked.integers(0, m, size) for size in sizes]
     whole = batched.integers(0, m, sum(sizes))
     assert whole.dtype == parts[0].dtype == np.int64

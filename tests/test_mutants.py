@@ -10,11 +10,17 @@ import json
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from shardsim import adversary, analysis, simulation
 from shardsim.adversary import AdversaryState
 from shardsim.membership import Membership, evolve_shard_seed, golden_vector_text
 
+import test_adversary
+import test_analysis
+import test_crypto
+import test_mc_golden
 import test_membership
 import test_simulation
 from binslib import CONTROL_SEEDS, takeover_edge
@@ -49,11 +55,86 @@ def test_counts_before_landings_move_an_adaptive_golden_entry(monkeypatch):
 
     monkeypatch.setattr(AdversaryState, "complete_due", count_first)
     monkeypatch.setattr(AdversaryState, "recount", lambda self: None)
+    assert _cheapest_golden_entry_moves("adaptive-greedy", "adaptive-random")
+
+
+def _cheapest_golden_entry_moves(*strategies: str) -> bool:
+    """Whether the cheapest iterated golden entry under ``strategies`` moves."""
     kwargs = min(
-        (c for c in CONFIGS if c["strategy"].startswith("adaptive")),
+        (c for c in CONFIGS if c["strategy"] in strategies),
         key=lambda c: c["n"] * c["rounds"],
     )
-    assert record(kwargs) != json.loads(GOLDEN.read_text())[_key(kwargs)]
+    return record(kwargs) != json.loads(GOLDEN.read_text())[_key(kwargs)]
+
+
+def test_failure_above_a_third_moves_a_static_golden_entry(monkeypatch):
+    # A committee that fails only above a red third, not at it, passes
+    # every bin that sits exactly on the edge.
+    monkeypatch.setattr(analysis, "committee_fails", lambda red, total: (3 * red > total) & (red > 0))
+    assert _cheapest_golden_entry_moves("static")
+
+
+def test_reds_drawn_with_replacement_move_a_static_golden_entry(monkeypatch):
+    # Reds drawn with replacement collide, seed fewer than the rule's share,
+    # and read the stream differently.
+    def with_replacement(rng, n, fraction):
+        red = np.zeros(n, dtype=bool)
+        if n_red := int(fraction * n):
+            red[rng.choice(n, size=n_red)] = True
+        return red
+
+    for module in (adversary, analysis, simulation):
+        monkeypatch.setattr(module, "draw_red", with_replacement)
+    assert _cheapest_golden_entry_moves("static")
+
+
+def test_greedy_attacking_the_coldest_bin_is_seen(monkeypatch):
+    # adaptive-greedy picks its target bin by max(ratio); with min in its
+    # place it attacks the bin furthest from failing.
+    monkeypatch.setattr(adversary, "max", min, raising=False)
+    with pytest.raises(AssertionError):
+        test_adversary.test_plan_attack_greedy_targets_hottest_bin()
+
+
+def test_launch_without_its_target_check_is_seen(monkeypatch):
+    # A launch that takes any target as free and blue accepts a red target.
+    launch = AdversaryState.launch
+
+    def unchecked(self, targets, releases, round):
+        self.free_blue[targets] = True
+        return launch(self, targets, releases, round)
+
+    monkeypatch.setattr(AdversaryState, "launch", unchecked)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_adversary.test_target_must_be_blue_and_free()
+
+
+def test_wilson_interval_at_90_percent_is_seen(monkeypatch):
+    # A z of 1.64 gives a 90% interval under the 95% name.
+    monkeypatch.setattr(analysis.wilson_interval, "__defaults__", (1.64,))
+    with pytest.raises(AssertionError):
+        test_analysis.test_wilson_interval_against_direct_formula()
+
+
+def test_empty_bins_in_the_red_ratio_are_seen(monkeypatch):
+    # No iterated golden entry has an empty bin in a stats round, so the
+    # round-by-round reference is the check: 2 reds among 5 balls in 9 bins.
+    def every_bin(red_counts, total_counts):
+        occupied = total_counts > 0
+        return float((red_counts[occupied] / total_counts[occupied]).sum()), total_counts.size
+
+    monkeypatch.setattr(analysis, "_ratio_terms", every_bin)
+    check = test_mc_golden.test_static_batches_match_round_by_round.hypothesis.inner_test
+    with pytest.raises(AssertionError):
+        check(block_draws=7, n=5, m=9, t_lease=2, rounds=20, strategy="static", seed=0,
+              red_fraction=0.4, capture_rounds=set(), stats_every=1)
+
+
+def test_swapped_bit_generator_trips_the_stream_canary(monkeypatch):
+    # Philox over the same SeedSequence is a valid generator with other draws.
+    monkeypatch.setattr(np.random, "PCG64", np.random.Philox)
+    with pytest.raises(AssertionError):
+        test_crypto.test_stream_canary()
 
 
 def test_issuer_off_by_one_shard_breaks_the_frozen_transcript(monkeypatch):
