@@ -29,25 +29,19 @@ class AttackError(Exception):
     """Attack plan violates the adversary's constraints."""
 
 
-@dataclass(frozen=True)
-class Attack:
-    targets: np.ndarray
-    releases: np.ndarray
-    started: int
-    completes: int
-
-
 @dataclass
 class AdversaryState:
-    """Ball colors and attacks, with the free masks and their sizes kept current.
+    """Ball colors and attacks, with the free masks kept current.
 
     ``red`` is the seeded red mask and ``bins`` an assignment of balls to
     [0, m); the state updates ``red`` in place. ``free_blue`` (blue, not
     under attack) and ``free_red`` (red, not released) change only on
     ``launch`` and ``complete_due``: a blue ball that is not free is under
-    attack, and a red ball that is not free is released. ``red_counts``
-    and ``totals`` hold the per-bin counts as ints; only ``recount``,
-    called once bins and colors have moved for a round, writes them.
+    attack, and a red ball that is not free is released. A pending attack is
+    its (targets, releases) pair, filed under the round it lands.
+    ``red_counts`` and ``totals`` hold the per-bin counts as ints; only
+    ``recount``, called once bins and colors have moved for a round, writes
+    them.
     """
 
     red: np.ndarray
@@ -56,21 +50,17 @@ class AdversaryState:
     t_takeover: int
     free_blue: np.ndarray = field(init=False)
     free_red: np.ndarray = field(init=False)
-    n_free_blue: int = field(init=False)
-    n_free_red: int = field(init=False)
     red_counts: list[int] = field(init=False)
     totals: list[int] = field(init=False)
     launched: int = field(init=False, default=0)
     completed: int = field(init=False, default=0)
-    _due: dict[int, list[Attack]] = field(init=False, default_factory=dict, repr=False)
+    _due: dict[int, list[tuple]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.t_takeover < 1:
             raise ValueError("t_takeover must be at least 1")
         self.free_blue = ~self.red
         self.free_red = self.red.copy()
-        self.n_free_red = int(np.count_nonzero(self.red))
-        self.n_free_blue = self.red.size - self.n_free_red
         self.recount()
 
     def recount(self) -> None:
@@ -80,7 +70,7 @@ class AdversaryState:
         self.red_counts = cells[m:]
         self.totals = [b + r for b, r in zip(cells[:m], self.red_counts)]
 
-    def launch(self, targets: np.ndarray, releases: np.ndarray, round: int) -> Attack:
+    def launch(self, targets: np.ndarray, releases: np.ndarray, round: int) -> None:
         k = targets.size
         if k == 0 or k != releases.size:
             raise AttackError("attacks trade control one-for-one, sizes must match")
@@ -95,29 +85,17 @@ class AdversaryState:
             raise AttackError("an attack names each target and release once, by index")
         self.free_blue[targets] = False
         self.free_red[releases] = False
-        self.n_free_blue -= k
-        self.n_free_red -= k
-        attack = Attack(targets, releases, round, round + self.t_takeover)
-        self._due.setdefault(attack.completes, []).append(attack)
+        self._due.setdefault(round + self.t_takeover, []).append((targets, releases))
         self.launched += 1
-        return attack
 
-    def complete_due(self, round: int) -> list[Attack]:
+    def complete_due(self, round: int) -> None:
         """Land every attack whose takeover window ends at ``round``."""
-        done = self._due.pop(round, None)
-        if not done:
-            return []
-        for attack in done:
-            targets, releases = attack.targets, attack.releases
+        for targets, releases in self._due.pop(round, ()):
             self.red[targets] = True
             self.free_red[targets] = True
             self.red[releases] = False
             self.free_blue[releases] = True
-            k = targets.size
-            self.n_free_blue += k
-            self.n_free_red += k
             self.completed += 1
-        return done
 
 
 def _first_free(free: np.ndarray, in_bin: np.ndarray, k: int) -> np.ndarray:
@@ -142,19 +120,19 @@ def plan_attack(
     from it. ``adaptive-random`` picks both sides uniformly. Both observe
     the full public state; greedy reads the per-bin counts ``state`` keeps.
     """
-    k = min(attack_size, state.n_free_blue, state.n_free_red)
-    if k == 0:
-        return None
     if strategy == "adaptive-random":
-        targets = rng.choice(np.flatnonzero(state.free_blue), size=k, replace=False)
-        releases = rng.choice(np.flatnonzero(state.free_red), size=k, replace=False)
-        return targets, releases
+        blues, reds = np.flatnonzero(state.free_blue), np.flatnonzero(state.free_red)
+        if not (k := min(attack_size, blues.size, reds.size)):
+            return None
+        return rng.choice(blues, size=k, replace=False), rng.choice(reds, size=k, replace=False)
     if strategy != "adaptive-greedy":
         raise AttackError(f"no attack planner for strategy {strategy!r}")
 
     ratio = [r / t if t else 0.0 for r, t in zip(state.red_counts, state.totals)]
     hot = ratio.index(max(ratio))
     cold = ratio.index(min(ratio))
-    targets = _first_free(state.free_blue, state.bins == hot, k)
-    releases = _first_free(state.free_red, state.bins == cold, k)
-    return targets, releases
+    targets = _first_free(state.free_blue, state.bins == hot, attack_size)
+    releases = _first_free(state.free_red, state.bins == cold, attack_size)
+    if not (k := min(targets.size, releases.size)):
+        return None
+    return targets[:k], releases[:k]

@@ -74,8 +74,6 @@ class SignatureScheme:
         self._by_position: dict[int, str] = {}
 
     def keygen(self, key_id: str) -> KeyPair:
-        if key_id in self._secrets:
-            return self.keypair(key_id)
         pk = PublicKey.from_id(key_id)
         owner = self._by_position.get(pk.position)
         if owner is not None and owner != key_id:

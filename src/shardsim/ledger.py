@@ -73,8 +73,8 @@ class Transaction:
             raise LedgerError(f"transaction {self.tx_id!r} has no outputs")
         total = 0
         for out in self.outputs:
-            if out.amount < 0:
-                raise LedgerError(f"transaction {self.tx_id!r} has a negative amount")
+            if not 0 <= out.amount < 2**64:
+                raise LedgerError(f"transaction {self.tx_id!r} has an amount outside [0, 2**64)")
             total += out.amount
         object.__setattr__(self, "total_amount", total)
 

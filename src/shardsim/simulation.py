@@ -197,7 +197,6 @@ class Simulation:
         for kp in self.clients:
             self._clients_by_shard[shard_index(kp.pk.position, cfg.m) - 1].append(kp)
         self.result = RunResult()
-        self._candidate_counter = 0
         self._bootstrap()
 
     # -- construction --------------------------------------------------------
@@ -297,17 +296,17 @@ class Simulation:
 
     def _sample_candidate(self, shard: int, replay: int, draws: list[list[int]]) -> Block:
         """Candidate block: own transaction ``replay`` if it is not negative, else
-        one payment per (resident index, amount, client index) draw."""
+        one payment per (resident index, amount, client index) draw. Candidates join
+        no context, so their ids ``cand{k}`` need only be unseen and distinct."""
         if replay >= 0:
             # Replay: already-recorded transactions must fail identically.
             return Block.of([self._own_txs[shard - 1][replay]])
-        residents, first = self._clients_by_shard[shard - 1], self._candidate_counter + 1
-        self._candidate_counter += len(draws)
+        residents = self._clients_by_shard[shard - 1]
         return Block.of(
             build_transaction(
-                self.scheme, residents[s], [(self.clients[to].pk, amount)], f"cand{k:08d}"
+                self.scheme, residents[s], [(self.clients[to].pk, amount)], f"cand{k}"
             )
-            for k, (s, amount, to) in enumerate(draws, start=first)
+            for k, (s, amount, to) in enumerate(draws)
         )
 
     def _self_containment_breaches(self, r: int) -> list[MonitorBreach]:

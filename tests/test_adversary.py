@@ -1,6 +1,9 @@
 """The red-set rule, and attack bookkeeping: a budget of seeded reds,
 one-for-one trades, exact completion."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,23 +45,39 @@ def test_protocol_and_bins_seed_as_many_reds(n, fraction):
     assert len(sim.red) == bins.capacity == int(fraction * n)
 
 
+def _pending(state):
+    return ~state.red & ~state.free_blue, state.red & ~state.free_red
+
+
 def test_launch_and_complete_swap_colors():
     state = _state()
-    attack = state.launch(np.array([5, 6]), np.array([0, 1]), round=2)
-    assert attack.completes == 5
+    assert state.launch(np.array([5, 6]), np.array([0, 1]), round=2) is None
     # Targets stay blue and releases red until completion; neither is free.
     assert not state.red[[5, 6]].any() and not state.free_blue[[5, 6]].any()
     assert state.red[[0, 1]].all() and not state.free_red[[0, 1]].any()
     assert int(state.red.sum()) == 5
+    targeted, released = _pending(state)
+    assert np.flatnonzero(targeted).tolist() == [5, 6]
+    assert np.flatnonzero(released).tolist() == [0, 1]
 
-    assert state.complete_due(4) == []
-    done = state.complete_due(5)
-    assert [a.started for a in done] == [2]
+    # Launched at round 2 with t_takeover 3: nothing lands at round 4, all at 5.
+    for r in (3, 4):
+        red = state.red.copy()
+        assert state.complete_due(r) is None
+        assert np.array_equal(state.red, red)
+        now_targeted, now_released = _pending(state)
+        assert np.array_equal(now_targeted, targeted)
+        assert np.array_equal(now_released, released)
+        assert state.completed == 0
+    assert state.complete_due(5) is None
     assert state.red[[5, 6]].all()
     assert not state.red[[0, 1]].any()
     # With no attack in flight, every ball is free.
+    assert not any(mask.any() for mask in _pending(state))
     assert np.array_equal(state.free_blue, ~state.red)
     assert np.array_equal(state.free_red, state.red)
+    assert state.completed == 1
+    state.complete_due(5)  # a landed attack lands once
     assert state.completed == 1
 
 
@@ -105,23 +124,17 @@ def test_release_must_be_active_controlled():
 
 
 def _snapshot(state):
-    return (
-        state.red.copy(),
-        state.free_blue.copy(),
-        state.free_red.copy(),
-        state.n_free_blue,
-        state.n_free_red,
-        list(state.red_counts),
-        list(state.totals),
-        state.launched,
-        state.completed,
-    )
+    """Every field of ``state`` keyed by name, pending attacks as lists."""
+    snap = {f.name: copy.deepcopy(getattr(state, f.name)) for f in dataclasses.fields(state)}
+    snap["_due"] = {
+        r: [(t.tolist(), s.tolist()) for t, s in attacks] for r, attacks in state._due.items()
+    }
+    return snap
 
 
 def _same(a, b):
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(a, b)
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) if isinstance(a[k], np.ndarray) else a[k] == b[k] for k in a
     )
 
 
@@ -176,11 +189,23 @@ def test_plan_attack_none_when_nothing_to_trade():
     assert plan_attack("adaptive-greedy", all_red, 4, rng) is None
 
 
+@pytest.mark.parametrize("strategy", ["adaptive-greedy", "adaptive-random"])
+@pytest.mark.parametrize(("n", "reds", "size"), [(20, (0, 1), 4), (6, (0, 1, 2, 3, 4), 4)])
+def test_plan_attack_trades_as_many_as_the_scarcer_side(strategy, n, reds, size):
+    state = _state(n=n, reds=reds)
+    targets, releases = plan_attack(strategy, state, size, np.random.default_rng(4))
+    assert targets.size == releases.size == min(size, n - len(reds), len(reds))
+    state.launch(targets, releases, round=1)
+
+
 def test_plan_attack_unknown_strategy():
     state = _state()
     rng = np.random.default_rng(3)
     with pytest.raises(AttackError):
         plan_attack("static", state, 2, rng)
+    # The strategy is checked before the free balls are.
+    with pytest.raises(AttackError, match="no attack planner"):
+        plan_attack("static", _state(n=10, reds=()), 2, rng)
 
 
 class _Model:
@@ -228,8 +253,6 @@ def _check_against_model(state, model, bins, m):
     assert np.array_equal(state.red, model.red)
     assert np.array_equal(state.free_blue, free_blue)
     assert np.array_equal(state.free_red, free_red)
-    assert state.n_free_blue == int(free_blue.sum())
-    assert state.n_free_red == int(free_red.sum())
     assert state.red_counts == np.bincount(bins[model.red], minlength=m).tolist()
     assert state.totals == np.bincount(bins, minlength=m).tolist()
 
@@ -238,9 +261,9 @@ def _check_against_model(state, model, bins, m):
 @given(st.data())
 def test_maintained_state_matches_recomputation(data):
     """Random launches (valid, planned and rejected), completions and moves
-    leave the colors, free masks, their sizes and the per-bin counts (taken
-    after each round's landings) equal to those of a model that tracks each
-    ball's status."""
+    leave the colors, free masks and per-bin counts (taken after each
+    round's landings) equal to those of a model that tracks each ball's
+    status."""
     n = data.draw(st.integers(2, 24), label="n")
     m = data.draw(st.integers(1, 5), label="m")
     n_red = data.draw(st.integers(0, n), label="n_red")
@@ -299,7 +322,7 @@ def test_maintained_state_matches_recomputation(data):
             else:
                 assert allowed
                 model.launch(targets, releases, r)
-                assert state.launched == before[7] + 1
+                assert state.launched == before["launched"] + 1
             _check_against_model(state, model, bins, m)
     for r in range(r + 1, r + 6):
         state.complete_due(r)

@@ -568,6 +568,21 @@ def test_bound_table_custom_rows(tmp_path):
     assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [(6000, 4), (2000, 2)]
 
 
+def test_bound_table_skips_blank_items(tmp_path):
+    cfg = _write(tmp_path, "[table]\nrows = 6000:4,\n")
+    out = tmp_path / "out"
+    assert main(["bound-table", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert [(int(r[0]), int(r[1])) for r in _rows(out / "bounds.csv")[1:]] == [(6000, 4)]
+
+
+def test_bound_table_needs_a_row(tmp_path, capsys):
+    cfg = _write(tmp_path, "[table]\nrows = ,\n")
+    out = tmp_path / "out"
+    assert main(["bound-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "bound table needs at least one n:m row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bound_table_bad_rows(tmp_path):
     cfg = _write(tmp_path, "[table]\nrows = 6000x4\n")
     out = tmp_path / "out"

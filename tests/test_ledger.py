@@ -47,6 +47,23 @@ def test_transaction_rejects_negative_amount(scheme):
         Transaction("t1", kp.pk, (TxOutput(to, -1),), b"")
 
 
+@pytest.mark.parametrize("amount", [2**64, 2**70])
+def test_transaction_rejects_amount_past_eight_bytes(scheme, mint, amount):
+    # signing_bytes writes each amount as 8 unsigned bytes. The mint skips
+    # the budget check, so only construction keeps such an amount from
+    # reaching verify, which must never raise.
+    to = scheme.keygen("r").pk
+    with pytest.raises(LedgerError):
+        Transaction("x", mint.pk, (TxOutput(to, amount),), b"\0" * 32)
+
+
+def test_largest_eight_byte_amount_is_legal(scheme):
+    kp = scheme.keygen("s")
+    to = scheme.keygen("r").pk
+    tx = Transaction("t1", kp.pk, (TxOutput(to, 2**64 - 1),), b"")
+    assert tx.signing_bytes().endswith(b"\xff" * 8)
+
+
 def test_zero_amount_output_is_legal(scheme, mint):
     kp = scheme.keygen("s")
     to = scheme.keygen("r").pk

@@ -67,6 +67,12 @@ def test_epoch_start_fixed_inside_epoch():
             assert start % 5 == t_shuffle
 
 
+@pytest.mark.parametrize(("m", "t_lease"), [(0, 5), (4, 0)])
+def test_membership_needs_a_shard_and_a_lease(m, t_lease):
+    with pytest.raises(MembershipError, match="at least 1"):
+        Membership(m, t_lease, SignatureScheme())
+
+
 # -- init ---------------------------------------------------------------------
 
 
@@ -151,6 +157,12 @@ def test_wrong_shard_rejected():
     cert = mem.get_membership(kps[0], 1)
     wrong = cert.shard % 4 + 1
     assert not mem.verify_member(cert.pk, cert.sigma, wrong, 1)
+
+
+def test_unregistered_key_gets_no_certificate():
+    scheme, _, mem = _fresh()
+    with pytest.raises(EligibilityError, match="'outsider' is not registered"):
+        mem.get_membership(scheme.keygen("outsider"), 1)
 
 
 def test_unregistered_key_rejected():
